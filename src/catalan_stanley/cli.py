@@ -104,9 +104,9 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    words = [t.serialize() for t in enumerate_trees(args.size)]
+    words = (t.serialize() for t in enumerate_trees(args.size))
     if args.format == "json":
-        print(json.dumps({"size": args.size, "trees": words}), file=out)
+        print(json.dumps({"size": args.size, "trees": list(words)}), file=out)
     else:
         for w in words:
             print(w, file=out)

@@ -1,10 +1,12 @@
 """Counting, exhaustive generation, and uniform sampling of Catalan-Stanley trees.
 
-There is one tree of size 1 and C(n-2) trees of size n >= 2.  Generation
-follows the symbolic decomposition of the class: a root carrying at least
-one branch, where each branch stacks pairs of arbitrary plane trees along
-its rightmost path and ends in the marked leaf, so a branch is exactly a
-plane tree whose rightmost path has even length.
+There is one tree of size 1 and C(n-2) trees of size n >= 2.  A tree's
+serialization is "(" + its Dyck word + ")" with U -> "(" and D -> ")", so
+lexicographic tree order is the U<D lex order of Dyck words, and the
+Catalan-Stanley trees are the words whose returns to the axis all end odd
+descents.  Generation is a depth-first walk over Dyck words in that order,
+pruned to the words that can still be completed; it streams the trees in
+O(size) memory.
 
 Sampling draws a uniform plane tree of the target size through a uniform
 Dyck path (balanced-sequence shuffle plus cycle-lemma rotation) and accepts
@@ -15,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -53,106 +53,87 @@ def count_trees(n: int) -> int:
     return catalan(n - 2)
 
 
-@lru_cache(maxsize=None)
-def _forests(total: int) -> tuple[tuple[PlaneTree, ...], ...]:
-    """All ordered forests of plane trees with the given total size."""
-    if total == 0:
-        return ((),)
-    out = []
-    for first in range(1, total + 1):
-        for tree in plane_trees(first):
-            for rest in _forests(total - first):
-                out.append((tree,) + rest)
-    return tuple(out)
+def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
+    """Plane trees with semilength+1 nodes, in U<D lex order of their Dyck words.
+
+    A depth-first walk: step up while the prefix can still be completed,
+    else down; after each word, backtrack to the last up step that can turn
+    into a down step.  A down step closes a node and builds its subtree,
+    shared by every word that extends the prefix.  Memory is O(semilength).
+
+    With odd_returns a step is taken only if the new prefix completes to a
+    word whose returns all end odd descents.  Away from the axis the only
+    stuck prefixes are those with no up step left and an even descent
+    ahead, and those with one up step left at height 1 right after an odd
+    descent (up then down twice, or down at once, both return evenly).
+    """
+    kids: list[list[PlaneTree]] = [[]]  # children so far of each open node, root first
+    closed: list[list[PlaneTree]] = []  # children of the nodes closed so far
+    runs: list[int] = []  # descent length after each step, 0 after an up step
+
+    def can_step(up: bool) -> bool:
+        height = len(kids) if up else len(kids) - 2
+        ups_left = semilength - (len(runs) + 1 + height) // 2
+        if height < 0 or ups_left < 0:
+            return False
+        if not odd_returns:
+            return True
+        run = 0 if up else runs[-1] + 1
+        if height == 0 or ups_left == 0:
+            return (run + height) % 2 == 1
+        return ups_left > 1 or height > 1 or run % 2 == 0
+
+    def step_down() -> None:
+        closed.append(kids.pop())
+        kids[-1].append(PlaneTree(tuple(closed[-1])))
+        runs.append(runs[-1] + 1)
+
+    while True:
+        while len(runs) < 2 * semilength:
+            if can_step(up=True):
+                kids.append([])
+                runs.append(0)
+            else:
+                step_down()
+        yield PlaneTree(tuple(kids[0]))
+        while True:
+            if not runs:
+                return
+            if runs.pop():
+                kids[-1].pop()
+                kids.append(closed.pop())
+            else:
+                kids.pop()
+                if can_step(up=False):
+                    step_down()
+                    break
 
 
-@lru_cache(maxsize=None)
 def plane_trees(n: int) -> tuple[PlaneTree, ...]:
-    """All rooted plane trees with n nodes (there are C(n-1) of them)."""
+    """All rooted plane trees with n nodes (there are C(n-1) of them), in lex order."""
     if n < 1:
         raise ValueError("size must be positive")
-    return tuple(PlaneTree(f) for f in _forests(n - 1))
-
-
-@lru_cache(maxsize=None)
-def _even_spine(m: int) -> tuple[PlaneTree, ...]:
-    """Size-m plane trees whose rightmost path has even length.
-
-    These are exactly the admissible branches: attached below a root they
-    put their rightmost leaf at odd depth.
-    """
-    if m == 1:
-        return (PlaneTree(),)
-    out = []
-    for last_size in range(1, m):
-        for last in _odd_spine(last_size):
-            for prefix in _forests(m - 1 - last_size):
-                out.append(PlaneTree(prefix + (last,)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _odd_spine(m: int) -> tuple[PlaneTree, ...]:
-    """Size-m plane trees whose rightmost path has odd length."""
-    if m == 1:
-        return ()
-    out = []
-    for last_size in range(1, m):
-        for last in _even_spine(last_size):
-            for prefix in _forests(m - 1 - last_size):
-                out.append(PlaneTree(prefix + (last,)))
-    return tuple(out)
-
-
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """Ordered sequences of positive integers summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+    return tuple(_dyck_trees(n - 1, odd_returns=False))
 
 
 class TreeIterator:
     """Streams every Catalan-Stanley tree of one size exactly once.
 
     Trees come out in lexicographic order of their parenthesis
-    serialization, which pins golden files; the full list is materialized
-    on first use to make that ordering possible.
+    serialization, which pins golden files.
     """
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("size must be positive")
         self.size = size
-        self._trees: list[PlaneTree] | None = None
-        self._pos = 0
-
-    def _materialize(self) -> list[PlaneTree]:
-        if self._trees is None:
-            if self.size == 1:
-                found = [PlaneTree()]
-            else:
-                found = [
-                    PlaneTree(branches)
-                    for comp in _compositions(self.size - 1)
-                    for branches in product(*(_even_spine(m) for m in comp))
-                ]
-            found.sort(key=PlaneTree.serialize)
-            self._trees = found
-        return self._trees
+        self._trees = _dyck_trees(size - 1, odd_returns=True)
 
     def __iter__(self) -> "TreeIterator":
         return self
 
     def __next__(self) -> PlaneTree:
-        trees = self._materialize()
-        if self._pos >= len(trees):
-            raise StopIteration
-        tree = trees[self._pos]
-        self._pos += 1
-        return tree
+        return next(self._trees)
 
     def __length_hint__(self) -> int:
         return count_trees(self.size)

@@ -36,11 +36,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlaneTree:
-    """Immutable rooted ordered tree; a leaf has an empty children tuple."""
+    """Immutable rooted ordered tree; a leaf has an empty children tuple.
+
+    Equality and hashing are iterative, so they work on arbitrarily deep trees.
+    """
 
     children: tuple["PlaneTree", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlaneTree):
+            return NotImplemented
+        # matching preorder walks; shared subtrees are equal without a visit
+        left, right = [self], [other]
+        while left:
+            a, b = left.pop(), right.pop()
+            if a is b:
+                continue
+            if len(a.children) != len(b.children):
+                return False
+            left.extend(a.children)
+            right.extend(b.children)
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self.serialize())
 
     def size(self) -> int:
         """Number of nodes."""

@@ -507,14 +507,11 @@ def _check_sampler_layer(report: VerifyReport) -> None:
 
     token_census_ok = True
     for n in range(2, 11):
+        child_sizes = [[c.size() for c in tau.children] for tau in plane_trees(n - 1)]
+        trees = list(enumerate_trees(n))
         for r in (1, 2, 3):
-            via_tokens = Counter(
-                _ancestor_size_from_tokens([c.size() for c in tau.children], r)
-                for tau in plane_trees(n - 1)
-            )
-            via_reduce = Counter(
-                tree_ops.ancestor(t, r).size() for t in enumerate_trees(n)
-            )
+            via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
+            via_reduce = Counter(tree_ops.ancestor(t, r).size() for t in trees)
             if via_tokens != via_reduce:
                 token_census_ok = False
     report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -74,6 +75,13 @@ class TestEnumerate:
             words = [t.serialize() for t in enumerate_trees(n)]
             assert words == sorted(words)
 
+    def test_streams_large_sizes(self):
+        trees = list(itertools.islice(enumerate_trees(40), 1000))
+        words = [t.serialize() for t in trees]
+        assert len(words) == 1000
+        assert all(a < b for a, b in zip(words, words[1:]))
+        assert all(t.size() == 40 and is_catalan_stanley(t) for t in trees)
+
     def test_iterator_protocol(self):
         iterator = enumerate_trees(4)
         assert isinstance(iterator, TreeIterator)
@@ -89,6 +97,11 @@ class TestPlaneTrees:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_are_catalan(self, n):
         assert len(plane_trees(n)) == catalan(n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_lexicographic_order(self, n):
+        words = [t.serialize() for t in plane_trees(n)]
+        assert all(a < b for a, b in zip(words, words[1:]))
 
 
 class TestSamplerConfig:

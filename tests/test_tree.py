@@ -48,6 +48,19 @@ tree_strategy = st.recursive(
 )
 
 
+@st.composite
+def deep_tree_strategy(draw):
+    """A long chain whose nodes carry random leaves on either side of it."""
+    depth = draw(st.integers(1000, 10**4))
+    rnd = draw(st.randoms(use_true_random=False))
+    leaf = PlaneTree()
+    node = leaf
+    for _ in range(depth):
+        left, right = rnd.randrange(3), rnd.randrange(2)
+        node = PlaneTree((leaf,) * left + (node,) + (leaf,) * right)
+    return node
+
+
 class TestParseSerialize:
     @pytest.mark.parametrize(
         "text,size",
@@ -86,10 +99,27 @@ class TestParseSerialize:
         assert parse_tree(tau.serialize()) == tau
 
     def test_deep_chain_roundtrip(self):
-        # structural equality recurses, so compare the canonical words
         word = chain(5000).serialize()
         assert parse_tree(word).serialize() == word
         assert parse_tree(word).size() == 5000
+
+
+class TestDeepTrees:
+    def test_chain_equality_and_hash(self):
+        n = 10**4
+        tau, same, shorter = chain(n), chain(n), chain(n - 1)
+        assert tau == same and not tau != same
+        assert tau != shorter and not tau == shorter
+        assert hash(tau) == hash(same)
+        assert same in {tau} and shorter not in {tau}
+
+    @given(deep_tree_strategy())
+    @settings(max_examples=20, deadline=None)
+    def test_roundtrip_and_hash(self, tau):
+        copy = parse_tree(tau.serialize())
+        assert copy == tau
+        assert hash(copy) == hash(tau)
+        assert PlaneTree(tau.children + (PlaneTree(),)) != tau
 
 
 class TestDyckPath:
