@@ -23,6 +23,9 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
+# `enumerate` prints C(n-2) trees at about 22 us each: size 16 (C(14), about
+# 2.7 million trees) takes about a minute, size 25 would take days.
+MAX_ENUMERATE_SIZE = 16
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_enum = sub.add_parser("enumerate", help="list all trees of a given size")
-    p_enum.add_argument("--size", type=int, required=True)
+    p_enum.add_argument(
+        "--size", type=int, required=True, help=f"tree size, at most {MAX_ENUMERATE_SIZE}"
+    )
     p_enum.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_sample = sub.add_parser("sample", help="uniform random tree")
@@ -104,6 +109,11 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    if args.size > MAX_ENUMERATE_SIZE:
+        raise CapacityError(
+            f"enumerate --size {args.size} would print {count_trees(args.size)} "
+            f"trees; sizes up to {MAX_ENUMERATE_SIZE} are supported"
+        )
     words = (t.serialize() for t in enumerate_trees(args.size))
     if args.format == "json":
         print(json.dumps({"size": args.size, "trees": list(words)}), file=out)

@@ -1,4 +1,4 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series with exact integer or rational coefficients.
 
 Carriers for the generating functions of the growth process: the plane
 tree series T(z) with z + T^2 = T, the class series S(z,t) = z +
@@ -7,11 +7,20 @@ the root, the expansion operator Phi(f)(z,t) = f(z, tT^2/(1-t))/(1-t)
 together with its closed r-fold form, the age survival series, and the
 ancestor-size series G_r(z,v).
 
-Univariate series hold coefficients 0..N.  Bivariate series are truncated
-to the box {z-degree <= N, second-degree <= N}; all operations used here
-(sum, product, division by a unit, substitution of a series with positive
-z-valuation) only ever move coefficients to higher degrees, so every
-stored coefficient is exact.  No floating point enters this module.
+Univariate series hold coefficients 0..N as a dense tuple.  The tuple
+holds Python ints while every coefficient is an integer, and Fractions
+as soon as one is not.  Every series of the process has integer
+coefficients, because each denominator it divides by (1-t, 1-t-T^2, the
+denominator of W) has constant term 1, so no Fraction is ever created on
+those paths.
+
+Bivariate series are truncated to the box {z-degree <= N, second-degree
+<= N} and stored as rows: row j is the univariate z-series multiplying
+t^j (or v^j), so every bivariate operation is a loop over the univariate
+kernels.  All operations used here (sum, product, division by a unit,
+substitution of a series with positive z-valuation) only ever move
+coefficients to higher degrees, so every stored coefficient is exact.
+No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -32,7 +41,41 @@ __all__ = [
     "series_G",
 ]
 
-_ZERO = Fraction(0)
+
+def _exact(values) -> tuple:
+    """Ints when every value is an integer, otherwise Fractions throughout."""
+    if all(type(c) is int for c in values):
+        return tuple(values)
+    fractions = [Fraction(c) for c in values]
+    if all(c.denominator == 1 for c in fractions):
+        return tuple(c.numerator for c in fractions)
+    return tuple(fractions)
+
+
+def _scalar(value):
+    return value if type(value) is int else Fraction(value)
+
+
+def _power(base, exponent, one):
+    """base**exponent by repeated squaring, starting from the unit `one`."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("only nonnegative integer powers are supported")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def _horner(coefficients, x, zero):
+    """sum_k coefficients[k] * x**k by Horner's rule, starting from `zero`."""
+    result = zero
+    for c in reversed(coefficients):
+        result = result * x + c
+    return result
 
 
 class TruncatedSeries:
@@ -41,18 +84,18 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        values = [Fraction(c) for c in coeffs]
+        values = list(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be nonnegative")
-            values = values[: order + 1] + [_ZERO] * (order + 1 - len(values))
+            values = values[: order + 1] + [0] * (order + 1 - len(values))
         elif not values:
             raise ValueError("empty coefficient list and no order given")
-        self._coeffs = tuple(values)
+        self._coeffs = _exact(values)
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
-        return cls([Fraction(value)], order)
+        return cls([value], order)
 
     @classmethod
     def z(cls, order: int) -> "TruncatedSeries":
@@ -62,12 +105,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.order:
             raise ValueError(f"degree {n} outside computed order {self.order}")
         return self._coeffs[n]
 
-    def coefficients(self) -> tuple[Fraction, ...]:
+    def coefficients(self) -> tuple[int | Fraction, ...]:
         return self._coeffs
 
     def valuation(self) -> int | None:
@@ -100,65 +143,54 @@ class TruncatedSeries:
     def __sub__(self, other):
         if isinstance(other, TruncatedSeries):
             return self + (-other)
-        return self + (-Fraction(other))
+        return self + (-_scalar(other))
 
     def __rsub__(self, other):
-        return (-self) + Fraction(other)
+        return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = self._aligned(other)
-            out = [_ZERO] * (n + 1)
-            for i, a in enumerate(self._coeffs[: n + 1]):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(out, n)
-        scalar = Fraction(other)
-        return TruncatedSeries([c * scalar for c in self._coeffs])
+        if not isinstance(other, TruncatedSeries):
+            scalar = _scalar(other)
+            return TruncatedSeries([c * scalar for c in self._coeffs])
+        n = self._aligned(other)
+        terms = [(j, b) for j, b in enumerate(other._coeffs[: n + 1]) if b]
+        out = [0] * (n + 1)
+        for i, a in enumerate(self._coeffs[: n + 1]):
+            if a:
+                for j, b in terms:
+                    if i + j > n:
+                        break
+                    out[i + j] += a * b
+        return TruncatedSeries(out, n)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = self._aligned(other)
-            lead = other._coeffs[0]
-            if not lead:
-                raise ValueError("series division requires a unit denominator")
-            out = [_ZERO] * (n + 1)
-            for k in range(n + 1):
-                acc = self._coeffs[k]
-                for i in range(1, k + 1):
-                    b = other._coeffs[i]
-                    if b:
-                        acc -= b * out[k - i]
-                out[k] = acc / lead
-            return TruncatedSeries(out, n)
-        scalar = Fraction(other)
-        return self * (Fraction(1) / scalar)
+        if not isinstance(other, TruncatedSeries):
+            return self * (1 / Fraction(other))
+        n = self._aligned(other)
+        lead = other._coeffs[0]
+        if not lead:
+            raise ValueError("series division requires a unit denominator")
+        inverse = 1 if lead == 1 else 1 / Fraction(lead)
+        terms = [(i, b) for i, b in enumerate(other._coeffs[1 : n + 1], 1) if b]
+        out = []
+        for k, acc in enumerate(self._coeffs[: n + 1]):
+            for i, b in terms:
+                if i > k:
+                    break
+                acc -= b * out[k - i]
+            out.append(acc * inverse)
+        return TruncatedSeries(out, n)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = TruncatedSeries.constant(1, self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, TruncatedSeries.constant(1, self.order))
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k, dropping what leaves the truncation window."""
         if k < 0:
             raise ValueError("shift must be nonnegative")
-        n = self.order
-        return TruncatedSeries(([_ZERO] * k + list(self._coeffs))[: n + 1], n)
+        return TruncatedSeries([0] * k + list(self._coeffs), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(z)); inner must have valuation >= 1."""
@@ -166,11 +198,7 @@ class TruncatedSeries:
         if val is not None and val < 1:
             raise ValueError("composition requires inner valuation >= 1")
         n = self._aligned(inner)
-        result = TruncatedSeries.constant(self._coeffs[n], n)
-        inner_n = inner.truncate(n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner_n + self._coeffs[k]
-        return result
+        return _horner(self._coeffs[: n + 1], inner.truncate(n), TruncatedSeries([], n))
 
     def __eq__(self, other):
         return (
@@ -193,40 +221,59 @@ class TruncatedSeries:
 
 
 class BivariateSeries:
-    """Series in z and one marker variable, boxed at degree `order` in each."""
+    """Series in z and one marker variable, boxed at degree `order` in each.
 
-    __slots__ = ("_coeffs", "_order", "_var")
+    Built from a mapping {(z-degree, second-degree): coefficient}; stored
+    as one TruncatedSeries of order `order` per second-degree, without
+    trailing zero rows.
+    """
+
+    __slots__ = ("_rows", "_order", "_var")
 
     def __init__(self, coeffs, order: int, var: str = "t"):
         if order < 0:
             raise ValueError("order must be nonnegative")
         if var not in ("t", "v"):
             raise ValueError("second variable must be 't' or 'v'")
-        box: dict[tuple[int, int], Fraction] = {}
+        rows: dict[int, list] = {}
         for (i, j), c in dict(coeffs).items():
             if not 0 <= i or not 0 <= j:
                 raise ValueError(f"negative exponent in monomial ({i}, {j})")
-            if i > order or j > order:
-                continue
-            frac = Fraction(c)
-            if frac:
-                box[(i, j)] = frac
-        self._coeffs = box
+            if i <= order and j <= order:
+                rows.setdefault(j, [0] * (order + 1))[i] = c
         self._order = order
         self._var = var
+        top = max(rows, default=-1)
+        self._rows = self._trimmed(
+            [TruncatedSeries(rows.get(j, ()), order) for j in range(top + 1)]
+        )
+
+    @staticmethod
+    def _trimmed(rows: list[TruncatedSeries]) -> tuple[TruncatedSeries, ...]:
+        while rows and not any(rows[-1]._coeffs):
+            rows.pop()
+        return tuple(rows)
+
+    def _with_rows(self, rows: list[TruncatedSeries]) -> "BivariateSeries":
+        """A series of this order and variable; rows must have this order."""
+        out = object.__new__(BivariateSeries)
+        out._order = self._order
+        out._var = self._var
+        out._rows = self._trimmed(rows)
+        return out
 
     @classmethod
     def constant(cls, value, order: int, var: str = "t") -> "BivariateSeries":
-        return cls({(0, 0): Fraction(value)}, order, var)
+        return cls({(0, 0): value}, order, var)
 
     @classmethod
     def monomial(cls, i: int, j: int, order: int, var: str = "t", value=1) -> "BivariateSeries":
-        return cls({(i, j): Fraction(value)}, order, var)
+        return cls({(i, j): value}, order, var)
 
     @classmethod
     def from_univariate(cls, f: TruncatedSeries, order: int, var: str = "t") -> "BivariateSeries":
-        data = {(i, 0): c for i, c in enumerate(f.coefficients()[: order + 1]) if c}
-        return cls(data, order, var)
+        row = f.coefficients()[: order + 1]
+        return cls({(i, 0): c for i, c in enumerate(row)}, order, var)
 
     @property
     def order(self) -> int:
@@ -236,17 +283,23 @@ class BivariateSeries:
     def var(self) -> str:
         return self._var
 
-    def coefficient(self, i: int, j: int) -> Fraction:
+    def coefficient(self, i: int, j: int) -> int | Fraction:
         if not (0 <= i <= self._order and 0 <= j <= self._order):
             raise ValueError(f"monomial ({i}, {j}) outside computed box {self._order}")
-        return self._coeffs.get((i, j), _ZERO)
+        return self._rows[j]._coeffs[i] if j < len(self._rows) else 0
 
     def items(self):
         """Nonzero coefficients in sorted monomial order."""
-        return sorted(self._coeffs.items())
+        return [
+            ((i, j), row._coeffs[i])
+            for i in range(self._order + 1)
+            for j, row in enumerate(self._rows)
+            if row._coeffs[i]
+        ]
 
     def z_valuation(self) -> int | None:
-        return min((i for (i, _j) in self._coeffs), default=None)
+        vals = (row.valuation() for row in self._rows)
+        return min((v for v in vals if v is not None), default=None)
 
     def _check_compatible(self, other: "BivariateSeries") -> None:
         if self._var != other._var:
@@ -255,95 +308,60 @@ class BivariateSeries:
             raise ValueError("mixing truncation orders")
 
     def __add__(self, other):
-        if isinstance(other, BivariateSeries):
-            self._check_compatible(other)
-            out = dict(self._coeffs)
-            for key, c in other._coeffs.items():
-                out[key] = out.get(key, _ZERO) + c
-            return BivariateSeries(out, self._order, self._var)
-        return self + BivariateSeries.constant(other, self._order, self._var)
+        if not isinstance(other, BivariateSeries):
+            return self + BivariateSeries.constant(other, self._order, self._var)
+        self._check_compatible(other)
+        longer, shorter = sorted((self._rows, other._rows), key=len, reverse=True)
+        return self._with_rows(
+            [a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter) :])
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivariateSeries(
-            {k: -c for k, c in self._coeffs.items()}, self._order, self._var
-        )
+        return self._with_rows([-row for row in self._rows])
 
     def __sub__(self, other):
         if isinstance(other, BivariateSeries):
             return self + (-other)
-        return self + (-Fraction(other))
+        return self + (-_scalar(other))
 
     def __rsub__(self, other):
-        return (-self) + Fraction(other)
+        return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, BivariateSeries):
-            self._check_compatible(other)
-            n = self._order
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self._coeffs.items():
-                for (i2, j2), c2 in other._coeffs.items():
-                    i, j = i1 + i2, j1 + j2
-                    if i > n or j > n:
-                        continue
-                    key = (i, j)
-                    out[key] = out.get(key, _ZERO) + c1 * c2
-            return BivariateSeries(out, n, self._var)
-        scalar = Fraction(other)
-        return BivariateSeries(
-            {k: c * scalar for k, c in self._coeffs.items()}, self._order, self._var
-        )
+        if not isinstance(other, BivariateSeries):
+            scalar = _scalar(other)
+            return self._with_rows([row * scalar for row in self._rows])
+        self._check_compatible(other)
+        n = self._order
+        out = [TruncatedSeries([], n)] * (n + 1)
+        for i, a in enumerate(self._rows):
+            for j, b in enumerate(other._rows[: n + 1 - i], i):
+                out[j] = out[j] + a * b
+        return self._with_rows(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are supported")
-        result = BivariateSeries.constant(1, self._order, self._var)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, exponent, BivariateSeries.constant(1, self._order, self._var))
 
     def __truediv__(self, other):
         if not isinstance(other, BivariateSeries):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         self._check_compatible(other)
-        lead = other._coeffs.get((0, 0), _ZERO)
-        if not lead:
+        den = other._rows
+        if not den or not den[0]._coeffs[0]:
             raise ValueError("series division requires a unit denominator")
-        n = self._order
-        denom = [(k, c) for k, c in other._coeffs.items() if k != (0, 0)]
-        out: dict[tuple[int, int], Fraction] = {}
-        # graded long division: lower total degrees are settled before use
-        for total in range(2 * n + 1):
-            for i in range(max(0, total - n), min(total, n) + 1):
-                j = total - i
-                acc = self._coeffs.get((i, j), _ZERO)
-                for (a, b), c in denom:
-                    if a <= i and b <= j:
-                        q = out.get((i - a, j - b))
-                        if q is not None:
-                            acc -= c * q
-                if acc:
-                    out[(i, j)] = acc / lead
-        return BivariateSeries(out, n, self._var)
-
-    def _rows(self) -> dict[int, "BivariateSeries"]:
-        """Split by second-variable degree; each row has second-degree 0."""
-        rows: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (i, j), c in self._coeffs.items():
-            rows.setdefault(j, {})[(i, 0)] = c
-        return {
-            j: BivariateSeries(data, self._order, self._var)
-            for j, data in rows.items()
-        }
+        zero = TruncatedSeries([], self._order)
+        out: list[TruncatedSeries] = []
+        # row j of the quotient q solves sum_b den_b * q_{j-b} = self_j
+        for j in range(self._order + 1):
+            acc = self._rows[j] if j < len(self._rows) else zero
+            for b in range(1, min(j, len(den) - 1) + 1):
+                acc = acc - den[b] * out[j - b]
+            out.append(acc / den[0])
+        return self._with_rows(out)
 
     def substitute_second(self, g: "BivariateSeries") -> "BivariateSeries":
         """Replace the second variable by g(z, second); g needs z-valuation >= 1."""
@@ -351,16 +369,8 @@ class BivariateSeries:
         val = g.z_valuation()
         if val is not None and val < 1:
             raise ValueError("substitution requires z-valuation >= 1")
-        rows = self._rows()
-        if not rows:
-            return BivariateSeries({}, self._order, self._var)
-        top = max(rows)
-        result = rows.get(top, BivariateSeries({}, self._order, self._var))
-        for j in range(top - 1, -1, -1):
-            result = result * g
-            if j in rows:
-                result = result + rows[j]
-        return result
+        rows = [self._with_rows([row]) for row in self._rows]
+        return _horner(rows, g, self._with_rows([]))
 
     def substitute_second_univariate(self, h: TruncatedSeries) -> TruncatedSeries:
         """Replace the second variable by a z-series of valuation >= 1."""
@@ -368,44 +378,31 @@ class BivariateSeries:
         if val is not None and val < 1:
             raise ValueError("substitution requires valuation >= 1")
         n = min(self._order, h.order)
-        rows: dict[int, list[Fraction]] = {}
-        for (i, j), c in self._coeffs.items():
-            if i <= n:
-                rows.setdefault(j, [_ZERO] * (n + 1))[i] = c
-        if not rows:
-            return TruncatedSeries([], n)
-        top = max(rows)
-        h_n = h.truncate(n)
-        result = TruncatedSeries(rows.get(top, [_ZERO]), n)
-        for j in range(top - 1, -1, -1):
-            result = result * h_n
-            if j in rows:
-                result = result + TruncatedSeries(rows[j], n)
-        return result
+        rows = [row.truncate(n) for row in self._rows]
+        return _horner(rows, h.truncate(n), TruncatedSeries([], n))
 
     def diagonal(self) -> TruncatedSeries:
         """Set the second variable equal to z."""
-        out = [_ZERO] * (self._order + 1)
-        for (i, j), c in self._coeffs.items():
-            if i + j <= self._order:
-                out[i + j] += c
-        return TruncatedSeries(out, self._order)
+        out = TruncatedSeries([], self._order)
+        for j, row in enumerate(self._rows):
+            out = out + row.shift(j)
+        return out
 
-    def slice_z(self, n: int) -> dict[int, Fraction]:
+    def slice_z(self, n: int) -> dict[int, int | Fraction]:
         """Coefficients of z^n as a map from second-variable degree."""
         if not 0 <= n <= self._order:
             raise ValueError(f"degree {n} outside computed order {self._order}")
-        return {j: c for (i, j), c in sorted(self._coeffs.items()) if i == n}
+        return {j: row._coeffs[n] for j, row in enumerate(self._rows) if row._coeffs[n]}
 
     def __eq__(self, other):
         return (
             isinstance(other, BivariateSeries)
             and self._var == other._var
-            and self._coeffs == other._coeffs
+            and self.items() == other.items()
         )
 
     def __hash__(self):
-        return hash((self._var, tuple(sorted(self._coeffs.items()))))
+        return hash((self._var, tuple(self.items())))
 
     def dump(self) -> str:
         """One line per nonzero coefficient: `n,m <numerator>/<denominator>`."""
@@ -416,7 +413,7 @@ class BivariateSeries:
     def __repr__(self):
         return (
             f"BivariateSeries(order={self._order}, var={self._var!r}, "
-            f"{len(self._coeffs)} terms)"
+            f"{len(self.items())} terms)"
         )
 
 
@@ -443,9 +440,16 @@ def series_S(order: int) -> BivariateSeries:
     )
 
 
-def _require_t(f: BivariateSeries) -> None:
+def _operator_input(f: BivariateSeries, order: int | None) -> BivariateSeries:
+    """f truncated to `order` (default: its own); the operators act on t."""
     if f.var != "t":
         raise ValueError("operator input must use second variable 't'")
+    n = f.order if order is None else order
+    if n > f.order:
+        raise ValueError(
+            f"cannot extend a series computed to order {f.order} up to {n}"
+        )
+    return f if n == f.order else BivariateSeries(dict(f.items()), n, f.var)
 
 
 def phi_apply(f: BivariateSeries, order: int | None = None) -> BivariateSeries:
@@ -453,22 +457,12 @@ def phi_apply(f: BivariateSeries, order: int | None = None) -> BivariateSeries:
 
     Enumerates all trees reducing into the family counted by f.
     """
-    _require_t(f)
-    n = f.order if order is None else order
-    if n > f.order:
-        _reject_extend(f, n)
-    if n < f.order:
-        f = BivariateSeries(dict(f.items()), n, f.var)
+    f = _operator_input(f, order)
+    n = f.order
     one_minus_t = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n)
     t_sq = BivariateSeries.from_univariate(series_T(n) ** 2, n)
     g = BivariateSeries.monomial(0, 1, n) * t_sq / one_minus_t
     return f.substitute_second(g) / one_minus_t
-
-
-def _reject_extend(f: BivariateSeries, order: int):
-    raise ValueError(
-        f"cannot extend a series computed to order {f.order} up to {order}"
-    )
 
 
 def _geometric_t_powers(order: int, r: int) -> TruncatedSeries:
@@ -490,16 +484,12 @@ def phi_power(f: BivariateSeries, r: int, order: int | None = None) -> Bivariate
     W = 1 / (1 - t(1-T^{2r})/(1-T^2)); Phi^0 is the identity (the closed
     form degenerates to 0/0 there, so r = 0 is special-cased).
     """
-    _require_t(f)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    n = f.order if order is None else order
-    if n > f.order:
-        _reject_extend(f, n)
-    if n < f.order:
-        f = BivariateSeries(dict(f.items()), n, f.var)
+    f = _operator_input(f, order)
     if r == 0:
         return f
+    n = f.order
     geometric = BivariateSeries.from_univariate(_geometric_t_powers(n, r), n)
     w_den = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n) * geometric
     t_pow = BivariateSeries.from_univariate(series_T(n) ** (2 * r), n)
@@ -545,10 +535,8 @@ def series_G(r: int, order: int) -> BivariateSeries:
         TruncatedSeries.constant(1, n) - _geometric_t_powers(n, r).shift(1)
     )
     u_coeffs = (t ** (2 * r) * w).shift(1).coefficients()
-    u = BivariateSeries({(i, 1): c for i, c in enumerate(u_coeffs) if c}, n, "v")
-    t_zv = BivariateSeries(
-        {(i, i): c for i, c in enumerate(t.coefficients()) if c}, n, "v"
-    )
+    u = BivariateSeries({(i, 1): c for i, c in enumerate(u_coeffs)}, n, "v")
+    t_zv = BivariateSeries({(i, i): c for i, c in enumerate(t.coefficients())}, n, "v")
     zv = BivariateSeries.monomial(1, 1, n, "v")
     den = BivariateSeries.constant(1, n, "v") - u - t_zv * t_zv
     s_at = zv + zv * u / den

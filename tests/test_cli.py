@@ -50,6 +50,12 @@ class TestEnumerate:
         assert lines[1] == "((((())())))"
         assert lines[-1] == "(()()()()())"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_size_cap(self, fmt):
+        code, out, err = invoke("enumerate", "--size", "17", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "up to 16" in err
+
 
 class TestSample:
     def test_deterministic_bytes(self):

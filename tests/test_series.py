@@ -292,6 +292,17 @@ class TestBivariateCore:
         )
         assert f / unit * unit == f
 
+    @given(bivariate_strategy, bivariate_strategy)
+    @settings(max_examples=60)
+    def test_product_matches_naive_double_loop(self, f, g):
+        expected = {}
+        for (i1, j1), a in f.items():
+            for (i2, j2), b in g.items():
+                if i1 + i2 <= 5 and j1 + j2 <= 5:
+                    key = (i1 + i2, j1 + j2)
+                    expected[key] = expected.get(key, 0) + a * b
+        assert dict((f * g).items()) == {k: c for k, c in expected.items() if c}
+
     def test_division_requires_unit(self):
         with pytest.raises(ValueError):
             series_S(4) / BivariateSeries.monomial(0, 1, 4)
@@ -307,3 +318,17 @@ class TestBivariateCore:
     def test_diagonal_matches_univariate_substitution(self):
         s = series_S(9)
         assert s.diagonal() == s.substitute_second_univariate(TruncatedSeries.z(9))
+
+
+def test_process_series_have_int_coefficients():
+    # every denominator of the process has constant term 1
+    bivariate = [
+        series_S(20),
+        phi_apply(series_S(12)),
+        phi_power(series_S(12), 3),
+        series_F_leq(3, 16),
+        series_G(2, 20),
+    ]
+    values = [c for f in bivariate for _, c in f.items()]
+    values += series_F_geq(2, 16).coefficients()
+    assert values and all(type(c) is int for c in values)
