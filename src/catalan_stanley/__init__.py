@@ -43,13 +43,10 @@ from .series import (
 )
 from .stats import (
     DistributionTable,
-    MomentReport,
     age_count_geq,
     age_distribution,
-    age_moment_report,
     age_variance,
     ancestor_distribution,
-    ancestor_moment_report,
     expected_age,
     expected_age_via_survivals,
     expected_ancestor_size,
@@ -58,7 +55,6 @@ from .stats import (
 )
 from .tree import (
     DyckPath,
-    MarkedView,
     PlaneTree,
     age,
     ancestor,
@@ -66,7 +62,6 @@ from .tree import (
     dyck_to_tree,
     has_odd_returns,
     is_catalan_stanley,
-    marked_view,
     parse_tree,
     reduce,
     star,

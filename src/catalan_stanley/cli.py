@@ -26,6 +26,12 @@ USAGE_ERROR = 2
 # `enumerate` prints C(n-2) trees at about 22 us each: size 16 (C(14), about
 # 2.7 million trees) takes about a minute, size 25 would take days.
 MAX_ENUMERATE_SIZE = 16
+# The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
+# about 3 s, and from 7155 on a numerator passes Python's 4300-digit
+# int-to-str limit.  The exact `ancestor` pmf expands G_r to order n:
+# size 200 takes about 5 s, size 400 over a minute.  `--asym` is uncapped.
+MAX_AGE_SIZE = 7000
+MAX_ANCESTOR_SIZE = 200
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,19 +59,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_age = sub.add_parser("age", help="age distribution or asymptotics")
-    p_age.add_argument("--size", type=int, required=True)
+    p_age.add_argument(
+        "--size", type=int, required=True,
+        help=f"tree size, at most {MAX_AGE_SIZE} unless --asym",
+    )
     group = p_age.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--asym", action="store_true")
     p_age.add_argument("--format", choices=("text", "json", "csv"), default="csv")
 
     p_anc = sub.add_parser("ancestor", help="ancestor-size distribution or asymptotics")
-    p_anc.add_argument("--size", type=int, required=True)
+    p_anc.add_argument(
+        "--size", type=int, required=True,
+        help=f"tree size, at most {MAX_ANCESTOR_SIZE} unless --asym",
+    )
     p_anc.add_argument("--depth", type=int, required=True, help="number of reductions r")
     group = p_anc.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", default=True)
     group.add_argument("--asym", action="store_true")
-    p_anc.add_argument("--order", type=int, default=None, help="series truncation order")
     p_anc.add_argument("--format", choices=("text", "json", "csv"), default="csv")
 
     p_const = sub.add_parser("constants", help="limit constants c0..c3")
@@ -97,6 +108,11 @@ def _emit_distribution(table: stats.DistributionTable, fmt: str, out) -> None:
             print(f"{value} {mass}", file=out)
 
 
+def _check_size_cap(command: str, size: int, cap: int) -> None:
+    if size > cap:
+        raise CapacityError(f"{command} --size {size}: sizes up to {cap} are supported")
+
+
 def _cmd_count(args, out) -> int:
     value = count_trees(args.size)
     if args.format == "json":
@@ -109,11 +125,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    if args.size > MAX_ENUMERATE_SIZE:
-        raise CapacityError(
-            f"enumerate --size {args.size} would print {count_trees(args.size)} "
-            f"trees; sizes up to {MAX_ENUMERATE_SIZE} are supported"
-        )
+    _check_size_cap("enumerate", args.size, MAX_ENUMERATE_SIZE)
     words = (t.serialize() for t in enumerate_trees(args.size))
     if args.format == "json":
         print(json.dumps({"size": args.size, "trees": list(words)}), file=out)
@@ -157,6 +169,7 @@ def _cmd_age(args, out) -> int:
         else:
             print(json.dumps(payload), file=out)
         return 0
+    _check_size_cap("age", args.size, MAX_AGE_SIZE)
     _emit_distribution(stats.age_distribution(args.size), args.format, out)
     return 0
 
@@ -178,8 +191,8 @@ def _cmd_ancestor(args, out) -> int:
         else:
             print(json.dumps(payload), file=out)
         return 0
-    table = stats.ancestor_distribution(args.size, args.depth, order=args.order)
-    _emit_distribution(table, args.format, out)
+    _check_size_cap("ancestor", args.size, MAX_ANCESTOR_SIZE)
+    _emit_distribution(stats.ancestor_distribution(args.size, args.depth), args.format, out)
     return 0
 
 

@@ -223,28 +223,28 @@ def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
 
 def sample_tree(cfg: SamplerConfig) -> PlaneTree:
     """Uniformly random Catalan-Stanley tree of cfg.size, deterministic per seed."""
-    if cfg.size == 1:
-        return PlaneTree()
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.max_rejections):
-        paths = _draw_plane_paths(rng, cfg.size - 1, 1)
-        _, _, valid = _path_stats(paths)
-        if valid[0]:
-            return dyck_to_tree(DyckPath(tuple(int(s) for s in paths[0])))
-    raise SamplingError(
-        f"no Catalan-Stanley tree of size {cfg.size} in {cfg.max_rejections} draws"
-    )
+    return sample_trees(cfg.size, 1, cfg.seed, cfg.max_rejections, batch=1)[0]
 
 
 def sample_trees(
     size: int, count: int, seed: int = 0, max_rejections: int = 1000, batch: int = 1024
 ) -> list[PlaneTree]:
-    """Batched sampler sharing one generator; same acceptance rule as sample_tree."""
+    """`count` uniform trees from one generator, drawn `batch` paths at a time.
+
+    Accepted paths are kept in draw order; at most count * max_rejections
+    paths are drawn.
+    """
+    SamplerConfig(size, seed, max_rejections)  # validates the shared arguments
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     if size == 1:
         return [PlaneTree()] * count
     rng = np.random.default_rng(seed)
     out: list[PlaneTree] = []
-    draws_left = count * max_rejections
+    draws = count * max_rejections
+    draws_left = draws
     while len(out) < count and draws_left > 0:
         rows = min(batch, draws_left)
         paths = _draw_plane_paths(rng, size - 1, rows)
@@ -255,7 +255,10 @@ def sample_trees(
             if len(out) == count:
                 break
     if len(out) < count:
-        raise SamplingError(f"accepted only {len(out)} of {count} requested samples")
+        raise SamplingError(
+            f"accepted {len(out)} of {count} Catalan-Stanley trees of size {size} "
+            f"in {draws} draws"
+        )
     return out
 
 

@@ -70,14 +70,6 @@ def _power(base, exponent, one):
     return result
 
 
-def _horner(coefficients, x, zero):
-    """sum_k coefficients[k] * x**k by Horner's rule, starting from `zero`."""
-    result = zero
-    for c in reversed(coefficients):
-        result = result * x + c
-    return result
-
-
 class TruncatedSeries:
     """Power series in z, exact up to and including degree `order`."""
 
@@ -192,14 +184,6 @@ class TruncatedSeries:
             raise ValueError("shift must be nonnegative")
         return TruncatedSeries([0] * k + list(self._coeffs), self.order)
 
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)); inner must have valuation >= 1."""
-        val = inner.valuation()
-        if val is not None and val < 1:
-            raise ValueError("composition requires inner valuation >= 1")
-        n = self._aligned(inner)
-        return _horner(self._coeffs[: n + 1], inner.truncate(n), TruncatedSeries([], n))
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedSeries) and self._coeffs == other._coeffs
@@ -207,14 +191,6 @@ class TruncatedSeries:
 
     def __hash__(self):
         return hash(self._coeffs)
-
-    def dump(self) -> str:
-        """One line per nonzero coefficient: `n <numerator>/<denominator>`."""
-        return "\n".join(
-            f"{n} {c.numerator}/{c.denominator}"
-            for n, c in enumerate(self._coeffs)
-            if c
-        )
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {list(self._coeffs[:8])}...)"
@@ -369,17 +345,11 @@ class BivariateSeries:
         val = g.z_valuation()
         if val is not None and val < 1:
             raise ValueError("substitution requires z-valuation >= 1")
-        rows = [self._with_rows([row]) for row in self._rows]
-        return _horner(rows, g, self._with_rows([]))
-
-    def substitute_second_univariate(self, h: TruncatedSeries) -> TruncatedSeries:
-        """Replace the second variable by a z-series of valuation >= 1."""
-        val = h.valuation()
-        if val is not None and val < 1:
-            raise ValueError("substitution requires valuation >= 1")
-        n = min(self._order, h.order)
-        rows = [row.truncate(n) for row in self._rows]
-        return _horner(rows, h.truncate(n), TruncatedSeries([], n))
+        # Horner's rule over the rows, highest power of the second variable first
+        result = self._with_rows([])
+        for row in reversed(self._rows):
+            result = result * g + self._with_rows([row])
+        return result
 
     def diagonal(self) -> TruncatedSeries:
         """Set the second variable equal to z."""
@@ -403,12 +373,6 @@ class BivariateSeries:
 
     def __hash__(self):
         return hash((self._var, tuple(self.items())))
-
-    def dump(self) -> str:
-        """One line per nonzero coefficient: `n,m <numerator>/<denominator>`."""
-        return "\n".join(
-            f"{i},{j} {c.numerator}/{c.denominator}" for (i, j), c in self.items()
-        )
 
     def __repr__(self):
         return (

@@ -25,16 +25,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import series as _series
-from . import tree as _tree
-from .enumeration import catalan, enumerate_trees
-from .errors import CapacityError
+from .enumeration import catalan
 
 __all__ = [
     "DistributionTable",
-    "MomentReport",
     "odd_divisor_count",
     "age_count_geq",
     "age_distribution",
@@ -43,8 +39,6 @@ __all__ = [
     "age_variance",
     "expected_ancestor_size",
     "ancestor_distribution",
-    "age_moment_report",
-    "ancestor_moment_report",
     "max_ancestor_size",
 ]
 
@@ -65,7 +59,6 @@ def _extraction_term(n: int, k: int) -> int:
     return _gb(e, beta) + _gb(e, beta - 1) - 2 * _gb(e, beta - 2)
 
 
-@lru_cache(maxsize=16)
 def _extraction_table(n: int) -> tuple[int, ...]:
     """_extraction_term(n, k) for k = 1..n-1 (all later k give 0).
 
@@ -114,22 +107,20 @@ def age_count_geq(n: int, r: int) -> int:
         raise ValueError("size must be positive")
     if r < 1:
         raise ValueError("r must be at least 1")
-    if n == 1:
-        return 0
-    table = _extraction_table(n)
-    total = 0
-    sign = 1
-    k = 2 * r - 1
-    while k <= n - 1:
-        total += sign * table[k - 1]
-        sign = -sign
-        k += 2 * r - 1
-    return total
+    return _count_geq(_extraction_table(n), r)
+
+
+def _count_geq(table: tuple[int, ...], r: int) -> int:
+    """f(n,r) from the extraction table of size n: the terms at k = j(2r-1)
+    with alternating signs."""
+    terms = table[2 * r - 2 :: 2 * r - 1]
+    return sum(terms[0::2]) - sum(terms[1::2])
 
 
 def _survival_counts(n: int) -> list[int]:
-    """[f(n,1), ..., f(n, floor(n/2))]."""
-    return [age_count_geq(n, r) for r in range(1, n // 2 + 1)]
+    """[f(n,1), ..., f(n, floor(n/2))], all read from one extraction table."""
+    table = _extraction_table(n)
+    return [_count_geq(table, r) for r in range(1, n // 2 + 1)]
 
 
 def expected_age(n: int) -> Fraction:
@@ -205,11 +196,6 @@ class DistributionTable:
     def mean(self) -> Fraction:
         return sum((v * m for v, m in zip(self.support, self.masses)), Fraction(0))
 
-    def second_factorial_moment(self) -> Fraction:
-        return sum(
-            (v * (v - 1) * m for v, m in zip(self.support, self.masses)), Fraction(0)
-        )
-
     def variance(self) -> Fraction:
         mean = self.mean()
         second = sum(
@@ -232,34 +218,6 @@ class DistributionTable:
                 "kind": self.kind,
                 "r": self.r,
                 "pmf": {str(v): str(m) for v, m in zip(self.support, self.masses)},
-            }
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class MomentReport:
-    """Expectation and variance of one statistic, tagged with its source."""
-
-    n: int
-    r: int | None
-    expectation: Fraction
-    variance: Fraction
-    source: str  # formula | series | brute-force
-
-    def __post_init__(self):
-        if self.source not in ("formula", "series", "brute-force"):
-            raise ValueError("unknown source")
-        if self.variance < 0:
-            raise ValueError("variance must be nonnegative")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "r": self.r,
-                "expectation": str(self.expectation),
-                "variance": str(self.variance),
-                "source": self.source,
             }
         )
 
@@ -321,8 +279,12 @@ def max_ancestor_size(n: int, r: int) -> int:
     return n - 2 * r
 
 
-def ancestor_distribution(n: int, r: int, order: int | None = None) -> DistributionTable:
-    """Exact pmf of the r-th ancestor size, read off the z^n slice of G_r."""
+def ancestor_distribution(n: int, r: int) -> DistributionTable:
+    """Exact pmf of the r-th ancestor size, read off the z^n slice of G_r.
+
+    The slice is exact once G_r is computed to order n, so no other order
+    is ever needed.
+    """
     if n < 1:
         raise ValueError("size must be positive")
     if r < 0:
@@ -331,60 +293,8 @@ def ancestor_distribution(n: int, r: int, order: int | None = None) -> Distribut
         return DistributionTable(1, "ancestor", r, (1,), (Fraction(1),))
     if r == 0:
         return DistributionTable(n, "ancestor", 0, (n,), (Fraction(1),))
-    if order is None:
-        order = n
-    if order < n:
-        raise CapacityError(
-            f"series order {order} too small for size {n}; requires order >= {n}"
-        )
-    slice_n = _series.series_G(r, order).slice_z(n)
+    slice_n = _series.series_G(r, n).slice_z(n)
     total_trees = catalan(n - 2)
     support = tuple(sorted(m for m, c in slice_n.items() if c))
     masses = tuple(Fraction(slice_n[m], total_trees) for m in support)
     return DistributionTable(n, "ancestor", r, support, masses)
-
-
-def _brute_ages(n: int) -> list[int]:
-    return [_tree.age(t) for t in enumerate_trees(n)]
-
-
-def age_moment_report(n: int, source: str = "formula") -> MomentReport:
-    """Age mean/variance via the closed formulas, the survival series, or
-    exhaustive enumeration."""
-    if source == "formula":
-        return MomentReport(n, None, expected_age(n), age_variance(n), source)
-    if source == "series":
-        if n == 1:
-            return MomentReport(1, None, Fraction(0), Fraction(0), source)
-        total_trees = catalan(n - 2)
-        counts = [
-            _series.series_F_geq(r, n).coefficient(n) for r in range(1, n // 2 + 1)
-        ]
-        mean = Fraction(sum(counts), total_trees)
-        second = Fraction(
-            sum((2 * r - 1) * f for r, f in enumerate(counts, start=1)), total_trees
-        )
-        return MomentReport(n, None, mean, second - mean * mean, source)
-    if source == "brute-force":
-        ages = _brute_ages(n)
-        mean = Fraction(sum(ages), len(ages))
-        second = Fraction(sum(a * a for a in ages), len(ages))
-        return MomentReport(n, None, mean, second - mean * mean, source)
-    raise ValueError("unknown source")
-
-
-def ancestor_moment_report(n: int, r: int, source: str = "series") -> MomentReport:
-    """Ancestor-size mean/variance from the joint series or enumeration.
-
-    The mean-only closed form is expected_ancestor_size; no exact closed
-    form for the variance exists, so 'formula' is not a valid source here.
-    """
-    if source == "series":
-        table = ancestor_distribution(n, r)
-        return MomentReport(n, r, table.mean(), table.variance(), source)
-    if source == "brute-force":
-        sizes = [_tree.ancestor(t, r).size() for t in enumerate_trees(n)]
-        mean = Fraction(sum(sizes), len(sizes))
-        second = Fraction(sum(s * s for s in sizes), len(sizes))
-        return MomentReport(n, r, mean, second - mean * mean, source)
-    raise ValueError("source must be 'series' or 'brute-force'")

@@ -1,9 +1,10 @@
 """Rooted plane trees, Dyck paths, and the Catalan-Stanley reduction.
 
 A Catalan-Stanley tree is a rooted plane tree in which the rightmost leaf
-of every branch attached to the root sits at odd depth.  Under the glove
-bijection these trees correspond exactly to Dyck paths all of whose
-maximal terminal descents ending on the x-axis have odd length.
+of every branch attached to the root (the branch's marked leaf) sits at
+odd depth.  Under the glove bijection these trees correspond exactly to
+Dyck paths all of whose maximal terminal descents ending on the x-axis
+have odd length.
 
 The reduction operator acts on every branch at once: a branch whose
 rightmost leaf is a child of the root is deleted outright; otherwise all
@@ -21,12 +22,10 @@ from .errors import MalformedPathError, NotCatalanStanleyError, TreeParseError
 __all__ = [
     "PlaneTree",
     "DyckPath",
-    "MarkedView",
     "parse_tree",
     "is_catalan_stanley",
     "tree_to_dyck",
     "dyck_to_tree",
-    "marked_view",
     "reduce",
     "age",
     "ancestor",
@@ -135,19 +134,6 @@ class DyckPath:
         return "".join("U" if s == 1 else "D" for s in self.steps)
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedView:
-    """A tree together with the positions of its marked nodes.
-
-    The marked nodes are the rightmost leaves of the branches attached to
-    the root, one per branch; a position is the root-to-node sequence of
-    child indices.
-    """
-
-    tree: PlaneTree
-    marked: tuple[tuple[int, ...], ...]
-
-
 def parse_tree(text: str) -> PlaneTree:
     """Parse a balanced-parentheses word into a tree.
 
@@ -248,19 +234,6 @@ def _require_catalan_stanley(tau: PlaneTree) -> None:
         )
 
 
-def marked_view(tau: PlaneTree) -> MarkedView:
-    """Mark the rightmost leaf of every branch attached to the root."""
-    positions = []
-    for i, branch in enumerate(tau.children):
-        pos = [i]
-        node = branch
-        while node.children:
-            pos.append(len(node.children) - 1)
-            node = node.children[-1]
-        positions.append(tuple(pos))
-    return MarkedView(tau, tuple(positions))
-
-
 def reduce(tau: PlaneTree) -> PlaneTree:
     """One growth step backwards.
 
@@ -283,32 +256,15 @@ def reduce(tau: PlaneTree) -> PlaneTree:
     return PlaneTree(tuple(new_children))
 
 
-def age(tau: PlaneTree, *, check: bool = False) -> int:
+def age(tau: PlaneTree) -> int:
     """Number of reductions until the single-node tree is reached.
 
     Equals (1 + d)/2 where d is the maximum depth of the marked leaves.
-    With ``check=True`` the iterated reduction is run as well and compared.
     """
     _require_catalan_stanley(tau)
     if tau.is_leaf:
-        result = 0
-    else:
-        result = (1 + max(len(_rightmost_path(b)) for b in tau.children)) // 2
-    if check:
-        by_iteration = _age_by_reduction(tau)
-        if by_iteration != result:
-            raise AssertionError(
-                f"age mismatch: formula {result}, iterated reduction {by_iteration}"
-            )
-    return result
-
-
-def _age_by_reduction(tau: PlaneTree) -> int:
-    count = 0
-    while not tau.is_leaf:
-        tau = reduce(tau)
-        count += 1
-    return count
+        return 0
+    return (1 + max(len(_rightmost_path(b)) for b in tau.children)) // 2
 
 
 def ancestor(tau: PlaneTree, r: int) -> PlaneTree:

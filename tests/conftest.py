@@ -4,84 +4,23 @@ One pass over all Catalan-Stanley trees of each size collects everything
 the oracle-style tests need: age histograms (by formula and by iterated
 reduction), ancestor-size histograms for every reduction depth, and the
 structural flags (validity, bijection roundtrip, closure, contraction).
+The pass is the census that `verify` runs, shared through a session cache.
 """
-
-from collections import Counter
-from dataclasses import dataclass
 
 import pytest
 
-from catalan_stanley import enumerate_trees
-from catalan_stanley.tree import (
-    age,
-    dyck_to_tree,
-    is_catalan_stanley,
-    reduce,
-    tree_to_dyck,
-)
+from catalan_stanley.verify import _build_census, _Census
 
 MAX_R = 7
 
 
-@dataclass
-class SizeCensus:
-    n: int
-    count: int
-    ages: Counter
-    iterated_ages: Counter
-    ancestors: dict  # depth r -> Counter of ancestor sizes
-    all_valid: bool
-    roundtrip_ok: bool
-    closure_ok: bool
-    contraction_ok: bool
-    age_formula_matches_iteration: bool
-
-
-def _build_census(n: int) -> SizeCensus:
-    ages: Counter = Counter()
-    iterated: Counter = Counter()
-    ancestors = {r: Counter() for r in range(1, MAX_R + 1)}
-    count = 0
-    all_valid = True
-    roundtrip_ok = True
-    closure_ok = True
-    contraction_ok = True
-    age_match = True
-    for tau in enumerate_trees(n):
-        count += 1
-        all_valid &= is_catalan_stanley(tau)
-        roundtrip_ok &= dyck_to_tree(tree_to_dyck(tau)) == tau
-        by_formula = age(tau)
-        ages[by_formula] += 1
-        sizes_along = []
-        current = tau
-        while not current.is_leaf:
-            following = reduce(current)
-            closure_ok &= is_catalan_stanley(following)
-            before, after = current.size(), following.size()
-            if before >= 3:
-                contraction_ok &= after <= before - 2
-            else:
-                contraction_ok &= after == 1
-            sizes_along.append(after)
-            current = following
-        age_match &= by_formula == len(sizes_along)
-        iterated[len(sizes_along)] += 1
-        for r in range(1, MAX_R + 1):
-            ancestors[r][sizes_along[r - 1] if r <= len(sizes_along) else 1] += 1
-    return SizeCensus(
-        n, count, ages, iterated, ancestors,
-        all_valid, roundtrip_ok, closure_ok, contraction_ok, age_match,
-    )
-
-
 @pytest.fixture(scope="session")
 def census():
-    cache: dict[int, SizeCensus] = {}
+    cache: dict[int, _Census] = {}
 
-    def get(n: int) -> SizeCensus:
+    def get(n: int) -> _Census:
         if n not in cache:
-            cache[n] = _build_census(n)
+            cache[n] = _build_census(n, MAX_R)
         return cache[n]
 
     return get

@@ -69,7 +69,7 @@ def test_criterion_2_age_triple_agreement(census):
     """Census = series coefficient = binomial sum, exactly."""
     comparisons = 0
     for n in range(2, MAX_SIZE + 1):
-        ages = census(n).ages
+        ages = census(n).age_formula
         survival_series = {r: series_F_geq(r, n) for r in range(1, 8)}
         for r in range(1, 8):
             brute = sum(v for a, v in ages.items() if a >= r)
@@ -84,7 +84,7 @@ def test_criterion_3_expected_age(census):
     assert expected_age(4) == Fraction(3, 2)
     assert expected_age(5) == Fraction(9, 5)
     for n in range(2, MAX_SIZE + 1):
-        ages = census(n).ages
+        ages = census(n).age_formula
         total = census(n).count
         brute = Fraction(sum(a * v for a, v in ages.items()), total)
         assert expected_age(n) == brute, n
@@ -101,7 +101,7 @@ def test_criterion_4_ancestor_statistics(census):
     for n in range(2, MAX_SIZE + 1):
         total = census(n).count
         for r in (1, 2, 3):
-            counter = census(n).ancestors[r]
+            counter = census(n).ancestor_sizes[r]
             brute_mean = Fraction(
                 sum(m * v for m, v in counter.items()), total
             )
@@ -224,11 +224,11 @@ def test_criterion_9_bijection_and_bounds(census):
         for tau in enumerate_trees(n):
             assert dyck_to_tree(tree_to_dyck(tau)) == tau
     for n in range(2, MAX_SIZE + 1):
-        ages = sorted(census(n).ages)
+        ages = sorted(census(n).age_formula)
         assert ages[0] == 1, n
         assert ages[-1] == n // 2, n
         for r in range(1, 8):
-            sizes = sorted(census(n).ancestors[r])
+            sizes = sorted(census(n).ancestor_sizes[r])
             upper = n - 2 * (r - 1) - 1
             assert sizes[0] == 1, (n, r)
             if r <= n // 2:
@@ -256,8 +256,8 @@ def test_criterion_9_ancestor_upper_bound_attained_as_stated(census):
     for n in range(2, MAX_SIZE + 1):
         for r in range(1, n // 2 + 1):
             upper = n - 2 * (r - 1) - 1
-            if max(census(n).ancestors[r]) != upper:
-                failures.append((n, r, max(census(n).ancestors[r]), upper))
+            if max(census(n).ancestor_sizes[r]) != upper:
+                failures.append((n, r, max(census(n).ancestor_sizes[r]), upper))
     if failures:
         report(
             f"FAIL: criterion 9 upper-bound attainment: {len(failures)} (n, r) "

@@ -1,10 +1,11 @@
 import json
+import sys
 from io import StringIO
 
 import pytest
 
 import catalan_stanley.enumeration
-from catalan_stanley.cli import run
+from catalan_stanley.cli import MAX_AGE_SIZE, MAX_ANCESTOR_SIZE, run
 from catalan_stanley.verify import run_verification
 
 
@@ -69,6 +70,20 @@ class TestSample:
         assert code == 0
         assert len(out.splitlines()) == 3
 
+    def test_golden_bytes(self):
+        assert invoke("sample", "--size", "30", "--seed", "5") == (
+            0,
+            "((((())())()(()((()((((()())))())(()()))())(()((()))))(())))\n",
+            "",
+        )
+
+    def test_golden_count_bytes(self):
+        assert invoke("sample", "--size", "6", "--seed", "1", "--count", "3") == (
+            0,
+            "(()((()())))\n(()()()()())\n((()(()))())\n",
+            "",
+        )
+
     def test_zero_count(self):
         assert invoke("sample", "--size", "6", "--seed", "1", "--count", "0") == (0, "", "")
 
@@ -93,18 +108,36 @@ class TestAge:
         assert payload["expected"]["order"] == "O(n^-2)"
         assert 2.6 < payload["expected"]["value"] < 2.8
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_size_cap(self, fmt):
+        code, out, err = invoke("age", "--size", str(MAX_AGE_SIZE + 1), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert f"up to {MAX_AGE_SIZE}" in err
+
+    def test_cap_prints_within_int_digit_limit(self):
+        # every numerator and denominator at the cap is at most C(n-2)
+        digits = len(str(catalan_stanley.enumeration.catalan(MAX_AGE_SIZE - 2)))
+        assert digits <= sys.get_int_max_str_digits()
+
+    def test_asym_has_no_cap(self):
+        code, out, _ = invoke("age", "--size", "100000", "--asym", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n"] == 100000
+
 
 class TestAncestor:
     def test_exact_csv(self):
         code, out, _ = invoke("ancestor", "--size", "4", "--depth", "1")
         assert out == "value,numerator,denominator\n1,1,2\n2,1,2\n"
 
-    def test_capacity_error(self):
-        code, _, err = invoke(
-            "ancestor", "--size", "9", "--depth", "1", "--order", "4"
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_size_cap(self, fmt):
+        code, out, err = invoke(
+            "ancestor", "--size", str(MAX_ANCESTOR_SIZE + 1), "--depth", "1",
+            "--format", fmt,
         )
-        assert code == 2
-        assert "order >= 9" in err
+        assert (code, out) == (2, "")
+        assert f"up to {MAX_ANCESTOR_SIZE}" in err
 
     def test_asym(self):
         code, out, _ = invoke(

@@ -145,7 +145,7 @@ class TestSampleTree:
 
     def test_rejection_budget_exhausted(self):
         # seed 0 rejects its first draw at size 12
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="accepted 0 of 1 .* size 12 in 1 draws"):
             sample_tree(SamplerConfig(size=12, seed=0, max_rejections=1))
 
 
@@ -165,6 +165,21 @@ class TestSampleTrees:
         _, p_value = scipy.stats.chisquare(observed)
         assert p_value > 0.001
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            dict(size=0, count=3),
+            dict(size=5, count=-1),
+            dict(size=5, count=3, seed=-1),
+            dict(size=5, count=3, seed=2**64),
+            dict(size=5, count=3, max_rejections=0),
+            dict(size=5, count=3, batch=0),
+        ],
+    )
+    def test_validation(self, args):
+        with pytest.raises(ValueError):
+            sample_trees(**args)
+
 
 class TestSampleReducedSizes:
     @pytest.mark.parametrize("n", range(2, 13))
@@ -176,7 +191,7 @@ class TestSampleReducedSizes:
             _ancestor_size_from_tokens([c.size() for c in tau.children], r)
             for tau in plane_trees(n - 1)
         )
-        assert via_tokens == census(n).ancestors[r]
+        assert via_tokens == census(n).ancestor_sizes[r]
 
     def test_r_zero_returns_size(self):
         assert list(sample_reduced_sizes(9, 4, seed=1, r=0)) == [9, 9, 9, 9]
@@ -194,7 +209,7 @@ class TestSampleReducedSizes:
     def test_empirical_matches_exact_pmf(self, n, r, census):
         draws = 60000
         empirical = Counter(int(x) for x in sample_reduced_sizes(n, draws, seed=31, r=r))
-        exact = census(n).ancestors[r]
+        exact = census(n).ancestor_sizes[r]
         total = sum(exact.values())
         support = sorted(exact)
         assert set(empirical) <= set(support)

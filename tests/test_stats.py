@@ -3,17 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from catalan_stanley import stats
 from catalan_stanley.enumeration import catalan
-from catalan_stanley.errors import CapacityError
 from catalan_stanley.stats import (
     DistributionTable,
-    MomentReport,
     age_count_geq,
     age_distribution,
-    age_moment_report,
     age_variance,
     ancestor_distribution,
-    ancestor_moment_report,
     expected_age,
     expected_age_via_survivals,
     expected_ancestor_size,
@@ -74,7 +71,7 @@ class TestAgeCountGeq:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_census(self, n, census):
         for r in range(1, 8):
-            brute = sum(v for a, v in census(n).ages.items() if a >= r)
+            brute = sum(v for a, v in census(n).age_formula.items() if a >= r)
             assert age_count_geq(n, r) == brute
 
     def test_r_one_counts_everything(self):
@@ -114,7 +111,7 @@ class TestAgeDistribution:
         table = age_distribution(n)
         total = census(n).count
         assert dict(zip(table.support, table.masses)) == {
-            a: Fraction(v, total) for a, v in census(n).ages.items()
+            a: Fraction(v, total) for a, v in census(n).age_formula.items()
         }
 
     @pytest.mark.parametrize("n", [2, 7, 30, 101])
@@ -136,6 +133,18 @@ class TestAgeDistribution:
             mass = Fraction(survivals[r - 1] - survivals[r], total)
             assert table.mass(r) == mass
 
+    def test_builds_one_extraction_table(self, monkeypatch):
+        # nothing is cached across calls; every r is read from one table
+        sizes = []
+        build = stats._extraction_table
+        monkeypatch.setattr(
+            stats, "_extraction_table", lambda n: sizes.append(n) or build(n)
+        )
+        age_distribution(40)
+        age_variance(41)
+        age_distribution(40)
+        assert sizes == [40, 41, 40]
+
 
 class TestExpectedAge:
     @pytest.mark.parametrize("n,value", [(2, 1), (4, Fraction(3, 2)), (5, Fraction(9, 5))])
@@ -147,7 +156,7 @@ class TestExpectedAge:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_three_routes_agree(self, n, census):
-        mean = brute_mean(census(n).ages)
+        mean = brute_mean(census(n).age_formula)
         assert expected_age(n) == mean
         assert expected_age_via_survivals(n) == mean
         assert age_distribution(n).mean() == mean
@@ -166,7 +175,7 @@ class TestAgeVariance:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_census(self, n, census):
-        assert age_variance(n) == brute_variance(census(n).ages)
+        assert age_variance(n) == brute_variance(census(n).age_formula)
 
 
 class TestExpectedAncestorSize:
@@ -192,7 +201,7 @@ class TestExpectedAncestorSize:
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_matches_census(self, n, r, census):
-        assert expected_ancestor_size(n, r) == brute_mean(census(n).ancestors[r])
+        assert expected_ancestor_size(n, r) == brute_mean(census(n).ancestor_sizes[r])
 
     @pytest.mark.parametrize("n", [100, 400, 800])
     def test_large_sizes_sane(self, n):
@@ -221,17 +230,13 @@ class TestAncestorDistribution:
         table = ancestor_distribution(7, 0)
         assert table.support == (7,)
 
-    def test_capacity_error_names_required_order(self):
-        with pytest.raises(CapacityError, match="order >= 9"):
-            ancestor_distribution(9, 1, order=5)
-
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_matches_census(self, n, r, census):
         table = ancestor_distribution(n, r)
         total = census(n).count
         assert dict(zip(table.support, table.masses)) == {
-            m: Fraction(v, total) for m, v in census(n).ancestors[r].items()
+            m: Fraction(v, total) for m, v in census(n).ancestor_sizes[r].items()
         }
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -246,19 +251,12 @@ class TestAncestorDistribution:
         predicted = ancestor_variance_asym(n, r).value
         assert abs(exact - predicted) < 1.0
 
-    def test_second_factorial_moment(self):
-        table = ancestor_distribution(6, 1)
-        direct = sum(
-            m * (m - 1) * p for m, p in zip(table.support, table.masses)
-        )
-        assert table.second_factorial_moment() == direct
-
 
 class TestMaxAncestorSize:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_census(self, n, census):
         for r in range(1, 8):
-            assert max_ancestor_size(n, r) == max(census(n).ancestors[r])
+            assert max_ancestor_size(n, r) == max(census(n).ancestor_sizes[r])
 
     def test_r_zero(self):
         assert max_ancestor_size(9, 0) == 9
@@ -293,35 +291,3 @@ class TestDistributionTable:
             )
         with pytest.raises(ValueError):
             DistributionTable(3, "bogus", None, (1,), (Fraction(1),))
-
-
-class TestMomentReports:
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_age_sources_agree(self, n):
-        formula = age_moment_report(n, "formula")
-        series = age_moment_report(n, "series")
-        brute = age_moment_report(n, "brute-force")
-        assert formula.expectation == series.expectation == brute.expectation
-        assert formula.variance == series.variance == brute.variance
-
-    @pytest.mark.parametrize("n,r", [(4, 1), (7, 2), (9, 1)])
-    def test_ancestor_sources_agree(self, n, r):
-        series = ancestor_moment_report(n, r, "series")
-        brute = ancestor_moment_report(n, r, "brute-force")
-        assert series.expectation == brute.expectation
-        assert series.variance == brute.variance
-        assert series.expectation == expected_ancestor_size(n, r)
-
-    def test_json(self):
-        payload = json.loads(age_moment_report(5).to_json())
-        assert payload["expectation"] == "9/5"
-        assert payload["variance"] == "4/25"
-        assert payload["source"] == "formula"
-
-    def test_source_validation(self):
-        with pytest.raises(ValueError):
-            age_moment_report(4, "guesswork")
-        with pytest.raises(ValueError):
-            ancestor_moment_report(4, 1, "formula")
-        with pytest.raises(ValueError):
-            MomentReport(4, None, Fraction(1), Fraction(-1), "formula")

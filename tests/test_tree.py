@@ -17,7 +17,6 @@ from catalan_stanley.tree import (
     dyck_to_tree,
     has_odd_returns,
     is_catalan_stanley,
-    marked_view,
     parse_tree,
     reduce,
     star,
@@ -162,7 +161,7 @@ class TestGloveBijection:
         path = DyckPath.from_string(FIGURE_PATH)
         assert tree_to_dyck(tau) == path
         assert dyck_to_tree(path) == tau
-        assert len(marked_view(tau).marked) == 3
+        assert len(tau.children) == 3
         assert is_catalan_stanley(tau)
 
     def test_path_size_relation(self):
@@ -195,21 +194,13 @@ class TestMembership:
         assert is_catalan_stanley(star(n))
 
 
-class TestMarkedView:
-    def test_one_mark_per_branch(self):
-        tau = parse_tree(FIGURE_TREE)
-        view = marked_view(tau)
-        assert len(view.marked) == len(tau.children)
-        for position in view.marked:
-            node = tau
-            for index in position:
-                assert index == len(node.children) - 1 or node is tau
-                node = node.children[index]
-            assert node.is_leaf
-
-    def test_marks_follow_last_children(self):
-        view = marked_view(parse_tree("((()())())"))
-        assert view.marked == ((0, 1), (1,))
+def reductions_to_leaf(tau):
+    """Number of reduce steps down to the single node."""
+    steps = 0
+    while not tau.is_leaf:
+        tau = reduce(tau)
+        steps += 1
+    return steps
 
 
 class TestReduce:
@@ -224,7 +215,7 @@ class TestReduce:
         assert [t.size() for t in trees] == [18, 6, 2, 1]
         for before, after in zip(trees, trees[1:]):
             assert reduce(before) == after
-        assert age(trees[0], check=True) == 3
+        assert age(trees[0]) == reductions_to_leaf(trees[0]) == 3
 
     def test_rejects_non_member(self):
         with pytest.raises(NotCatalanStanleyError):
@@ -240,18 +231,18 @@ class TestAge:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_star_age_one(self, n):
-        assert age(star(n), check=True) == 1
+        assert age(star(n)) == reductions_to_leaf(star(n)) == 1
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_even_chain(self, n):
-        assert age(chain(n), check=True) == n // 2
+        assert age(chain(n)) == reductions_to_leaf(chain(n)) == n // 2
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_extremal_tree(self, n):
         # chain of size n-1 with one extra leaf attached at the root
         tau = PlaneTree((chain(n - 2), PlaneTree()))
         assert tau.size() == n
-        assert age(tau, check=True) == n // 2
+        assert age(tau) == reductions_to_leaf(tau) == n // 2
 
     def test_rejects_non_member(self):
         with pytest.raises(NotCatalanStanleyError):
@@ -270,12 +261,12 @@ class TestExhaustiveInvariants:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_age_formula_matches_iterated_reduction(self, n, census):
-        assert census(n).age_formula_matches_iteration
-        assert census(n).ages == census(n).iterated_ages
+        assert census(n).age_match
+        assert census(n).age_formula == census(n).age_iterated
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_age_bounds_sharp(self, n, census):
-        ages = sorted(census(n).ages)
+        ages = sorted(census(n).age_formula)
         assert ages[0] == 1 and ages[-1] == n // 2
 
     @pytest.mark.parametrize("n", range(2, 13))
