@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 MAX_DIGITS = 60
+# The expansions are evaluated in double precision: n is exact there up to
+# 2**53, and the ancestor variance divides by 16^r, which leaves the float
+# range at r = 256.  Both are checked before any power of 4^r is formed.
+MAX_ASYM_SIZE = 2**53
+MAX_ASYM_DEPTH = 255
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,12 +187,24 @@ def _constants_float() -> tuple[float, float, float, float]:
     return tuple(float(_constant(i, 30)) for i in range(4))
 
 
-def prob_age_asym(n: int, r: int) -> AsymptoticEstimate:
-    """Two-term expansion of P(D_n = r)."""
+def _check_size(n: int) -> None:
     if n < 2:
         raise ValueError("n must be at least 2")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    if n > MAX_ASYM_SIZE:
+        raise CapacityError(f"n must be at most 2**53 = {MAX_ASYM_SIZE}")
+
+
+def _check_depth(r: int, smallest: int) -> None:
+    if r < smallest:
+        raise ValueError(f"r must be at least {smallest}")
+    if r > MAX_ASYM_DEPTH:
+        raise CapacityError(f"r must be at most {MAX_ASYM_DEPTH}")
+
+
+def prob_age_asym(n: int, r: int) -> AsymptoticEstimate:
+    """Two-term expansion of P(D_n = r)."""
+    _check_size(n)
+    _check_depth(r, 1)
     leading = survival_leading(r) - survival_leading(r + 1)
     correction = survival_correction(r) - survival_correction(r + 1)
     return AsymptoticEstimate(float(leading) - float(correction) / n, "O(n^-2)", 2)
@@ -195,26 +212,22 @@ def prob_age_asym(n: int, r: int) -> AsymptoticEstimate:
 
 def expected_age_asym(n: int) -> AsymptoticEstimate:
     """E D_n ~ c0 + c1/n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_size(n)
     c0, c1, _, _ = _constants_float()
     return AsymptoticEstimate(c0 + c1 / n, "O(n^-2)", 2)
 
 
 def age_variance_asym(n: int) -> AsymptoticEstimate:
     """V D_n ~ c2 + c3/n."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    _check_size(n)
     _, _, c2, c3 = _constants_float()
     return AsymptoticEstimate(c2 + c3 / n, "O(n^-2)", 2)
 
 
 def expected_ancestor_asym(n: int, r: int) -> AsymptoticEstimate:
     """Three-term expansion of E X_{n,r}; exact (= n) at r = 0."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_size(n)
+    _check_depth(r, 0)
     p = 4**r
     linear = Fraction(n, p)
     const = Fraction(2 * p - 2 * r**2 + r - 2, 2 * p)
@@ -226,10 +239,8 @@ def expected_ancestor_asym(n: int, r: int) -> AsymptoticEstimate:
 def ancestor_variance_asym(n: int, r: int) -> AsymptoticEstimate:
     """Four-term expansion of V X_{n,r} (n^2, n^3/2, n, n^1/2); identically
     0 at r = 0."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_size(n)
+    _check_depth(r, 0)
     p4 = 4**r
     p16 = 16**r
     sqrt_pi = math.sqrt(math.pi)

@@ -27,11 +27,27 @@ USAGE_ERROR = 2
 # 2.7 million trees) takes about a minute, size 25 would take days.
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
-# about 3 s, and from 7155 on a numerator passes Python's 4300-digit
+# about 2 s, and from 7155 on a numerator passes Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf expands G_r to order n:
-# size 200 takes about 5 s, size 400 over a minute.  `--asym` is uncapped.
+# size 200 takes about 5 s, size 400 over a minute.  `--asym` takes the
+# caps of the asymptotics module (n up to 2**53, r up to 255).
 MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 200
+# `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
+MAX_COUNT_SIZE = MAX_AGE_SIZE
+# `sample` draws about 3.5 us per node plus 0.2 ms per tree: one tree of size
+# 10^5 takes 0.35 s and 55 MiB, and the largest request (100 of them) 35 s
+# and 105 MiB.
+MAX_SAMPLE_SIZE = 100_000
+MAX_SAMPLE_COUNT = 100
+# `verify` at default scope takes about 3 s.  Its census of sizes up to 14
+# takes about 20 s and each extra size about 4x more; the series layer takes
+# 4 s at order 64 and 25 s at 128; all three caps together take 30 s.  Past
+# r = order/2 no tree of the series or of the census has that age, so a
+# larger --max-r only repeats checks.
+MAX_VERIFY_SIZE = 14
+MAX_VERIFY_ORDER = 64
+MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="number of trees of a given size")
-    p_count.add_argument("--size", type=int, required=True)
+    p_count.add_argument(
+        "--size", type=int, required=True, help=f"tree size, at most {MAX_COUNT_SIZE}"
+    )
     p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_enum = sub.add_parser("enumerate", help="list all trees of a given size")
@@ -52,9 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_sample = sub.add_parser("sample", help="uniform random tree")
-    p_sample.add_argument("--size", type=int, required=True)
+    p_sample.add_argument(
+        "--size", type=int, required=True, help=f"tree size, at most {MAX_SAMPLE_SIZE}"
+    )
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--count", type=int, default=1)
+    p_sample.add_argument(
+        "--count", type=int, default=1,
+        help=f"number of trees, seeds seed..seed+count-1, at most {MAX_SAMPLE_COUNT}",
+    )
     p_sample.add_argument("--max-rejections", type=int, default=1000)
     p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
@@ -90,9 +113,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p_verify.add_argument("--max-size", type=int, default=12)
-    p_verify.add_argument("--max-r", type=int, default=5)
-    p_verify.add_argument("--order", type=int, default=16)
+    p_verify.add_argument(
+        "--max-size", type=int, default=12,
+        help=f"largest enumerated tree size, at most {MAX_VERIFY_SIZE}",
+    )
+    p_verify.add_argument(
+        "--max-r", type=int, default=5, help=f"largest age or depth r, at most {MAX_VERIFY_R}"
+    )
+    p_verify.add_argument(
+        "--order", type=int, default=16, help=f"series order, at most {MAX_VERIFY_ORDER}"
+    )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -108,12 +138,13 @@ def _emit_distribution(table: stats.DistributionTable, fmt: str, out) -> None:
             print(f"{value} {mass}", file=out)
 
 
-def _check_size_cap(command: str, size: int, cap: int) -> None:
-    if size > cap:
-        raise CapacityError(f"{command} --size {size}: sizes up to {cap} are supported")
+def _check_size_cap(command: str, value: int, cap: int, flag: str = "--size") -> None:
+    if value > cap:
+        raise CapacityError(f"{command} {flag} {value}: values up to {cap} are supported")
 
 
 def _cmd_count(args, out) -> int:
+    _check_size_cap("count", args.size, MAX_COUNT_SIZE)
     value = count_trees(args.size)
     if args.format == "json":
         print(json.dumps({"size": args.size, "count": str(value)}), file=out)
@@ -136,6 +167,10 @@ def _cmd_enumerate(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    _check_size_cap("sample", args.size, MAX_SAMPLE_SIZE)
+    _check_size_cap("sample", args.count, MAX_SAMPLE_COUNT, flag="--count")
+    if args.count < 0:
+        raise ValueError("sample --count must be nonnegative")
     words = []
     for i in range(args.count):
         cfg = SamplerConfig(
@@ -237,6 +272,9 @@ def _cmd_bijection(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    _check_size_cap("verify", args.max_size, MAX_VERIFY_SIZE, flag="--max-size")
+    _check_size_cap("verify", args.order, MAX_VERIFY_ORDER, flag="--order")
+    _check_size_cap("verify", args.max_r, MAX_VERIFY_R, flag="--max-r")
     report = verify_mod.run_verification(
         max_size=args.max_size, max_r=args.max_r, order=args.order
     )

@@ -1,4 +1,4 @@
-"""Truncated formal power series with exact integer or rational coefficients.
+"""Truncated formal power series with exact integer coefficients.
 
 Carriers for the generating functions of the growth process: the plane
 tree series T(z) with z + T^2 = T, the class series S(z,t) = z +
@@ -7,12 +7,11 @@ the root, the expansion operator Phi(f)(z,t) = f(z, tT^2/(1-t))/(1-t)
 together with its closed r-fold form, the age survival series, and the
 ancestor-size series G_r(z,v).
 
-Univariate series hold coefficients 0..N as a dense tuple.  The tuple
-holds Python ints while every coefficient is an integer, and Fractions
-as soon as one is not.  Every series of the process has integer
-coefficients, because each denominator it divides by (1-t, 1-t-T^2, the
-denominator of W) has constant term 1, so no Fraction is ever created on
-those paths.
+Univariate series hold coefficients 0..N as a dense tuple of Python
+ints.  Every series of the process has integer coefficients, because
+each denominator it divides by (1-t, 1-t-T^2, the denominator of W) has
+constant term 1; division therefore asks for a constant term of +1 or
+-1, whose inverse is itself, and any other coefficient type is refused.
 
 Bivariate series are truncated to the box {z-degree <= N, second-degree
 <= N} and stored as rows: row j is the univariate z-series multiplying
@@ -25,7 +24,7 @@ No floating point enters this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
 from .enumeration import catalan
 
@@ -42,18 +41,7 @@ __all__ = [
 ]
 
 
-def _exact(values) -> tuple:
-    """Ints when every value is an integer, otherwise Fractions throughout."""
-    if all(type(c) is int for c in values):
-        return tuple(values)
-    fractions = [Fraction(c) for c in values]
-    if all(c.denominator == 1 for c in fractions):
-        return tuple(c.numerator for c in fractions)
-    return tuple(fractions)
-
-
-def _scalar(value):
-    return value if type(value) is int else Fraction(value)
+_UNIT_ERROR = "series division requires a constant term of +1 or -1"
 
 
 def _power(base, exponent, one):
@@ -83,7 +71,7 @@ class TruncatedSeries:
             values = values[: order + 1] + [0] * (order + 1 - len(values))
         elif not values:
             raise ValueError("empty coefficient list and no order given")
-        self._coeffs = _exact(values)
+        self._coeffs = tuple(map(operator.index, values))
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
@@ -97,12 +85,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, n: int) -> int | Fraction:
+    def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise ValueError(f"degree {n} outside computed order {self.order}")
         return self._coeffs[n]
 
-    def coefficients(self) -> tuple[int | Fraction, ...]:
+    def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
 
     def valuation(self) -> int | None:
@@ -133,16 +121,14 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        return self + (-_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            scalar = _scalar(other)
+            scalar = operator.index(other)
             return TruncatedSeries([c * scalar for c in self._coeffs])
         n = self._aligned(other)
         terms = [(j, b) for j, b in enumerate(other._coeffs[: n + 1]) if b]
@@ -159,12 +145,11 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self * (1 / Fraction(other))
+            return NotImplemented
         n = self._aligned(other)
         lead = other._coeffs[0]
-        if not lead:
-            raise ValueError("series division requires a unit denominator")
-        inverse = 1 if lead == 1 else 1 / Fraction(lead)
+        if lead not in (1, -1):
+            raise ValueError(_UNIT_ERROR)
         terms = [(i, b) for i, b in enumerate(other._coeffs[1 : n + 1], 1) if b]
         out = []
         for k, acc in enumerate(self._coeffs[: n + 1]):
@@ -172,7 +157,7 @@ class TruncatedSeries:
                 if i > k:
                     break
                 acc -= b * out[k - i]
-            out.append(acc * inverse)
+            out.append(acc * lead)  # lead is its own inverse
         return TruncatedSeries(out, n)
 
     def __pow__(self, exponent: int):
@@ -259,7 +244,7 @@ class BivariateSeries:
     def var(self) -> str:
         return self._var
 
-    def coefficient(self, i: int, j: int) -> int | Fraction:
+    def coefficient(self, i: int, j: int) -> int:
         if not (0 <= i <= self._order and 0 <= j <= self._order):
             raise ValueError(f"monomial ({i}, {j}) outside computed box {self._order}")
         return self._rows[j]._coeffs[i] if j < len(self._rows) else 0
@@ -298,16 +283,14 @@ class BivariateSeries:
         return self._with_rows([-row for row in self._rows])
 
     def __sub__(self, other):
-        if isinstance(other, BivariateSeries):
-            return self + (-other)
-        return self + (-_scalar(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, BivariateSeries):
-            scalar = _scalar(other)
+            scalar = operator.index(other)
             return self._with_rows([row * scalar for row in self._rows])
         self._check_compatible(other)
         n = self._order
@@ -324,11 +307,11 @@ class BivariateSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, BivariateSeries):
-            return self * (1 / Fraction(other))
+            return NotImplemented
         self._check_compatible(other)
         den = other._rows
-        if not den or not den[0]._coeffs[0]:
-            raise ValueError("series division requires a unit denominator")
+        if not den or den[0]._coeffs[0] not in (1, -1):
+            raise ValueError(_UNIT_ERROR)
         zero = TruncatedSeries([], self._order)
         out: list[TruncatedSeries] = []
         # row j of the quotient q solves sum_b den_b * q_{j-b} = self_j
@@ -358,7 +341,7 @@ class BivariateSeries:
             out = out + row.shift(j)
         return out
 
-    def slice_z(self, n: int) -> dict[int, int | Fraction]:
+    def slice_z(self, n: int) -> dict[int, int]:
         """Coefficients of z^n as a map from second-variable degree."""
         if not 0 <= n <= self._order:
             raise ValueError(f"degree {n} outside computed order {self._order}")
@@ -430,12 +413,16 @@ def phi_apply(f: BivariateSeries, order: int | None = None) -> BivariateSeries:
 
 
 def _geometric_t_powers(order: int, r: int) -> TruncatedSeries:
-    """(1 - T^{2r}) / (1 - T^2) written as the polynomial sum_{k<r} T^{2k}."""
+    """(1 - T^{2r}) / (1 - T^2) written as the polynomial sum_{k<r} T^{2k}.
+
+    T^{2k} has z-valuation 2k, so it vanishes at this order once 2k > order
+    and the sum stops there, however large r is.
+    """
     t = series_T(order)
     total = TruncatedSeries.constant(0, order)
     power = TruncatedSeries.constant(1, order)
     t_sq = t * t
-    for _ in range(r):
+    for _ in range(min(r, order // 2 + 1)):
         total = total + power
         power = power * t_sq
     return total

@@ -1,4 +1,7 @@
-"""Exact (rational) age and ancestor statistics.
+"""Exact age and ancestor statistics, computed as integer tree counts.
+
+Every pmf here is a count of trees over C(n-2); a probability or a moment
+becomes a Fraction only when it leaves the module.
 
 The number f(n,r) of size-n trees of age >= r comes from a finite
 alternating binomial sum obtained by coefficient extraction.  With
@@ -157,58 +160,71 @@ def age_variance(n: int) -> Fraction:
     if n == 1:
         return Fraction(0)
     counts = _survival_counts(n)
-    total_trees = catalan(n - 2)
-    second = Fraction(
-        sum((2 * r - 1) * f for r, f in enumerate(counts, start=1)), total_trees
-    )
-    mean = Fraction(sum(counts), total_trees)
-    return second - mean * mean
+    total = catalan(n - 2)
+    first = sum(counts)
+    second = sum((2 * r - 1) * f for r, f in enumerate(counts, start=1))
+    return Fraction(total * second - first * first, total * total)
 
 
 @dataclass(frozen=True, slots=True)
 class DistributionTable:
-    """Exact pmf of the age or of an ancestor size at one tree size."""
+    """Exact pmf of the age or of an ancestor size at one tree size.
+
+    counts[i] is the number of size-n trees whose value is support[i]; the
+    counts add up to the number of size-n trees, the denominator of every
+    mass.
+    """
 
     size_n: int
     kind: str  # "age" or "ancestor"
     r: int | None
     support: tuple[int, ...]
-    masses: tuple[Fraction, ...]
+    counts: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("age", "ancestor"):
             raise ValueError("kind must be 'age' or 'ancestor'")
-        if len(self.support) != len(self.masses):
-            raise ValueError("support and masses differ in length")
-        if any(m < 0 for m in self.masses):
-            raise ValueError("negative mass")
-        if sum(self.masses, Fraction(0)) != 1:
-            raise ValueError("masses must sum to 1 exactly")
+        if len(self.support) != len(self.counts):
+            raise ValueError("support and counts differ in length")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("negative count")
+        if sum(self.counts) != self._total:
+            raise ValueError("counts must sum to the number of trees of size_n")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("support must be strictly ascending")
 
+    @property
+    def _total(self) -> int:
+        """C(n-2) trees of size n >= 2, and the single node."""
+        return catalan(self.size_n - 2) if self.size_n > 1 else 1
+
+    def _mass_items(self):
+        """(value, mass) pairs, each mass built as it is read."""
+        total = self._total
+        return ((v, Fraction(c, total)) for v, c in zip(self.support, self.counts))
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        return tuple(m for _, m in self._mass_items())
+
     def mass(self, value: int) -> Fraction:
-        try:
-            return self.masses[self.support.index(value)]
-        except ValueError:
+        if value not in self.support:
             return Fraction(0)
+        return Fraction(self.counts[self.support.index(value)], self._total)
 
     def mean(self) -> Fraction:
-        return sum((v * m for v, m in zip(self.support, self.masses)), Fraction(0))
+        first = sum(v * c for v, c in zip(self.support, self.counts))
+        return Fraction(first, self._total)
 
     def variance(self) -> Fraction:
-        mean = self.mean()
-        second = sum(
-            (v * v * m for v, m in zip(self.support, self.masses)), Fraction(0)
-        )
-        return second - mean * mean
+        total = self._total
+        first = sum(v * c for v, c in zip(self.support, self.counts))
+        second = sum(v * v * c for v, c in zip(self.support, self.counts))
+        return Fraction(total * second - first * first, total * total)
 
     def to_csv(self) -> str:
         lines = ["value,numerator,denominator"]
-        lines += [
-            f"{v},{m.numerator},{m.denominator}"
-            for v, m in zip(self.support, self.masses)
-        ]
+        lines += [f"{v},{m.numerator},{m.denominator}" for v, m in self._mass_items()]
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -217,7 +233,7 @@ class DistributionTable:
                 "n": self.size_n,
                 "kind": self.kind,
                 "r": self.r,
-                "pmf": {str(v): str(m) for v, m in zip(self.support, self.masses)},
+                "pmf": {str(v): str(m) for v, m in self._mass_items()},
             }
         )
 
@@ -227,17 +243,11 @@ def age_distribution(n: int) -> DistributionTable:
     if n < 1:
         raise ValueError("size must be positive")
     if n == 1:
-        return DistributionTable(1, "age", None, (0,), (Fraction(1),))
-    counts = _survival_counts(n) + [0]
-    total_trees = catalan(n - 2)
-    support = []
-    masses = []
-    for r in range(1, n // 2 + 1):
-        mass = Fraction(counts[r - 1] - counts[r], total_trees)
-        if mass:
-            support.append(r)
-            masses.append(mass)
-    return DistributionTable(n, "age", None, tuple(support), tuple(masses))
+        return DistributionTable(1, "age", None, (0,), (1,))
+    survivals = _survival_counts(n) + [0]
+    exact = {r: survivals[r - 1] - survivals[r] for r in range(1, n // 2 + 1)}
+    support = tuple(r for r, c in exact.items() if c)
+    return DistributionTable(n, "age", None, support, tuple(exact[r] for r in support))
 
 
 def expected_ancestor_size(n: int, r: int) -> Fraction:
@@ -290,11 +300,9 @@ def ancestor_distribution(n: int, r: int) -> DistributionTable:
     if r < 0:
         raise ValueError("r must be nonnegative")
     if n == 1:
-        return DistributionTable(1, "ancestor", r, (1,), (Fraction(1),))
+        return DistributionTable(1, "ancestor", r, (1,), (1,))
     if r == 0:
-        return DistributionTable(n, "ancestor", 0, (n,), (Fraction(1),))
+        return DistributionTable(n, "ancestor", 0, (n,), (catalan(n - 2),))
     slice_n = _series.series_G(r, n).slice_z(n)
-    total_trees = catalan(n - 2)
-    support = tuple(sorted(m for m, c in slice_n.items() if c))
-    masses = tuple(Fraction(slice_n[m], total_trees) for m in support)
-    return DistributionTable(n, "ancestor", r, support, masses)
+    support = tuple(sorted(slice_n))
+    return DistributionTable(n, "ancestor", r, support, tuple(slice_n[m] for m in support))

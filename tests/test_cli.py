@@ -1,11 +1,23 @@
+import hashlib
 import json
 import sys
+import time
 from io import StringIO
 
 import pytest
 
 import catalan_stanley.enumeration
-from catalan_stanley.cli import MAX_AGE_SIZE, MAX_ANCESTOR_SIZE, run
+from catalan_stanley.cli import (
+    MAX_AGE_SIZE,
+    MAX_ANCESTOR_SIZE,
+    MAX_COUNT_SIZE,
+    MAX_SAMPLE_COUNT,
+    MAX_SAMPLE_SIZE,
+    MAX_VERIFY_ORDER,
+    MAX_VERIFY_R,
+    MAX_VERIFY_SIZE,
+    run,
+)
 from catalan_stanley.verify import run_verification
 
 
@@ -13,6 +25,16 @@ def invoke(*args):
     out, err = StringIO(), StringIO()
     code = run(list(args), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def assert_fails_fast(*args):
+    """Exit 2 within a second, one `error:` line on stderr, nothing on stdout."""
+    start = time.perf_counter()
+    code, out, err = invoke(*args)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
 
 
 class TestCount:
@@ -31,6 +53,11 @@ class TestCount:
         code, _, err = invoke("count", "--size", "0")
         assert code == 2
         assert "error:" in err
+
+    def test_size_cap(self):
+        assert invoke("count", "--size", str(MAX_COUNT_SIZE))[0] == 0
+        err = assert_fails_fast("count", "--size", str(MAX_COUNT_SIZE + 1))
+        assert f"up to {MAX_COUNT_SIZE}" in err
 
 
 class TestEnumerate:
@@ -87,6 +114,17 @@ class TestSample:
     def test_zero_count(self):
         assert invoke("sample", "--size", "6", "--seed", "1", "--count", "0") == (0, "", "")
 
+    def test_negative_count(self):
+        assert_fails_fast("sample", "--size", "5", "--count", "-3")
+
+    def test_size_cap(self):
+        err = assert_fails_fast("sample", "--size", str(MAX_SAMPLE_SIZE + 1))
+        assert f"up to {MAX_SAMPLE_SIZE}" in err
+
+    def test_count_cap(self):
+        err = assert_fails_fast("sample", "--size", "5", "--count", str(MAX_SAMPLE_COUNT + 1))
+        assert f"--count {MAX_SAMPLE_COUNT + 1}" in err
+
 
 class TestAge:
     def test_exact_csv(self):
@@ -124,6 +162,10 @@ class TestAge:
         assert code == 0
         assert json.loads(out)["n"] == 100000
 
+    def test_asym_size_past_float_range(self):
+        err = assert_fails_fast("age", "--size", str(10**310), "--asym")
+        assert "2**53" in err
+
 
 class TestAncestor:
     def test_exact_csv(self):
@@ -145,6 +187,37 @@ class TestAncestor:
         )
         payload = json.loads(out)
         assert payload["expected"]["value"] == pytest.approx(2500.625, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "size,depth",
+        [(str(10**310), "1"), ("1000", "256"), ("1000", "1000000000")],
+    )
+    def test_asym_input_past_float_range(self, size, depth):
+        assert_fails_fast("ancestor", "--size", size, "--depth", depth, "--asym")
+
+
+# sha256 of stdout, recorded while each pmf was still stored as Fractions
+GOLDEN_PMF_SHA256 = {
+    ("age", "--size", "50", "--format", "csv"):
+        "bedf7bc9bd7c30bdd31124897386993f3e0b78b7a79d09bbacb4006fa4a5c38c",
+    ("age", "--size", "50", "--format", "json"):
+        "ab67328bc5590ec8cabcbfd25d63da3fb5516b8700eaaf09ba4f5c5fd16e58d8",
+    ("age", "--size", "50", "--format", "text"):
+        "6916549d8610f6a85442a8e4cc19adf46023901d164dc06f14e2b49100a2a64a",
+    ("ancestor", "--size", "30", "--depth", "2", "--format", "csv"):
+        "650d0fea19d33848c4d578ce6b2ac49e9bbb25b79d8c6b88da5b6ec6e5322b3c",
+    ("ancestor", "--size", "30", "--depth", "2", "--format", "json"):
+        "32459cea098f8331c13c886fa1e2ad7631f4aae1395a422628d48a5b696fd5d7",
+    ("ancestor", "--size", "30", "--depth", "2", "--format", "text"):
+        "0a26525e815401bf82ffd153316d3e77723024dde09cfa9db2c42aca14e636ae",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_PMF_SHA256))
+def test_golden_pmf_bytes(argv):
+    code, out, _ = invoke(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PMF_SHA256[argv]
 
 
 class TestConstants:
@@ -221,6 +294,18 @@ class TestVerifyCommand:
         code, out, _ = invoke("verify", "--max-size", "6", "--max-r", "2", "--order", "8")
         assert code == 1
         assert any(line.startswith("FAIL count(5)") for line in out.splitlines())
+
+    @pytest.mark.parametrize(
+        "flag,cap",
+        [
+            ("--max-size", MAX_VERIFY_SIZE),
+            ("--order", MAX_VERIFY_ORDER),
+            ("--max-r", MAX_VERIFY_R),
+        ],
+    )
+    def test_scope_caps(self, flag, cap):
+        err = assert_fails_fast("verify", flag, str(cap + 1))
+        assert f"up to {cap}" in err
 
     def test_byte_identical_runs(self):
         first = invoke("verify", "--max-size", "5", "--max-r", "2", "--order", "6")

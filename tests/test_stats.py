@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,12 @@ class TestAncestorDistribution:
         table = ancestor_distribution(7, 0)
         assert table.support == (7,)
 
+    def test_depth_far_past_the_age_is_fast(self):
+        start = time.perf_counter()
+        table = ancestor_distribution(50, 10**9)
+        assert time.perf_counter() - start < 1.0
+        assert dict(zip(table.support, table.masses)) == {1: 1}
+
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_matches_census(self, n, r, census):
@@ -283,11 +290,16 @@ class TestDistributionTable:
         }
 
     def test_rejects_bad_masses(self):
+        # size 4 has C(2) = 2 trees, so the counts must add up to 2
         with pytest.raises(ValueError):
-            DistributionTable(3, "age", None, (1,), (Fraction(1, 2),))
+            DistributionTable(4, "age", None, (1,), (1,))
         with pytest.raises(ValueError):
-            DistributionTable(
-                3, "age", None, (2, 1), (Fraction(1, 2), Fraction(1, 2))
-            )
+            DistributionTable(4, "age", None, (2, 1), (1, 1))
         with pytest.raises(ValueError):
-            DistributionTable(3, "bogus", None, (1,), (Fraction(1),))
+            DistributionTable(4, "bogus", None, (1, 2), (1, 1))
+
+    def test_counts_are_tree_counts(self):
+        table = age_distribution(5)
+        assert table.counts == (1, 4)
+        assert all(type(c) is int for c in ancestor_distribution(20, 2).counts)
+        assert table.masses == (Fraction(1, 5), Fraction(4, 5))
