@@ -76,7 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument(
         "--count", type=int, default=1,
-        help=f"number of trees, seeds seed..seed+count-1, at most {MAX_SAMPLE_COUNT}",
+        help=(
+            f"number of trees, at most {MAX_SAMPLE_COUNT}; tree i uses seed+i, so "
+            "--seed s --count c followed by --seed s+c is one longer run"
+        ),
     )
     p_sample.add_argument("--max-rejections", type=int, default=1000)
     p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")

@@ -11,6 +11,13 @@ O(size) memory.
 Sampling draws a uniform plane tree of the target size through a uniform
 Dyck path (balanced-sequence shuffle plus cycle-lemma rotation) and accepts
 iff the tree is Catalan-Stanley; the acceptance rate tends to 1/4.
+
+Ancestor sizes need only the root-child sizes of a uniform plane tree on
+n-1 nodes, so `sample_reduced_sizes` draws those one by one, each as the
+first tree of a uniform plane forest, by an exact fixed-point inverse-CDF
+walk from both ends of its support: O(sqrt(n)) integer steps per tree
+(about 0.065 ms at n = 10^4, 0.2 ms at 10^5 and 0.6 ms at 10^6), and
+every size comes out with its exact probability up to a relative 2^-46.
 """
 
 from __future__ import annotations
@@ -251,7 +258,7 @@ def sample_trees(
         _, _, valid = _path_stats(paths)
         draws_left -= rows
         for row in paths[valid]:
-            out.append(dyck_to_tree(DyckPath(tuple(int(s) for s in row))))
+            out.append(dyck_to_tree(DyckPath(tuple(row.tolist()))))
             if len(out) == count:
                 break
     if len(out) < count:
@@ -262,19 +269,74 @@ def sample_trees(
     return out
 
 
-def sample_reduced_sizes(
-    size: int, count: int, seed: int = 0, r: int = 1, batch: int = 256
-) -> np.ndarray:
+def _draw_bits(forest: int) -> int:
+    """Fixed-point width for `_first_tree_size` on forests of up to `forest` nodes.
+
+    The walk's probabilities differ from the exact p(j) by less than
+    forest**2 / 4 units of 2**-bits, and every p(j) >= forest**-1.5 / 2
+    (from 4^a/sqrt(pi(a+1/2)) <= binom(2a, a) <= 4^a/sqrt(pi a)).  So, with
+    forest < 2**b, 4b + 45 bits keep each relative error below 2**-46.
+    The width is rounded up to whole bytes, the unit `_uniform_draws` reads.
+    """
+    return 8 * -(-(4 * forest.bit_length() + 45) // 8)
+
+
+def _uniform_draws(rng: np.random.Generator, bits: int) -> Iterator[int]:
+    """Endless independent uniform integers in [0, 2**bits), bits a multiple of 8."""
+    width = bits // 8
+    while True:
+        block = rng.bytes(width * 4096)
+        for start in range(0, len(block), width):
+            yield int.from_bytes(block[start : start + width], "little")
+
+
+def _first_tree_size(forest: int, draw: int, bits: int) -> int:
+    """Size j of the first tree of a uniform plane forest on `forest` nodes.
+
+    The law is p(j) = C(j-1) C(forest-j) / C(forest) for j = 1..forest.  It
+    is symmetric under j <-> forest+1-j, so the low bit of `draw` picks an
+    end of the support and the other bits walk the inverse CDF in from that
+    end, in min(j, forest+1-j) steps.  The masses are integers in units of
+    2**-bits: p(1) = (forest+1) / (4 forest - 2) and
+    p(j+1)/p(j) = (4j-2)(forest-j+1) / ((j+1)(4(forest-j)-2)), each product
+    rounded down.  The draws left over by the rounding go to the middle size
+    (when forest is even, to the middle on the side the walk started from),
+    so every draw ends in range.  With `draw` uniform in [0, 2**bits) and bits at least
+    `_draw_bits(forest)`, every j comes out with probability p(j) up to a
+    relative 2**-46.
+    """
+    rest = draw >> 1
+    mass = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
+    middle = (forest + 1) // 2
+    j = 1
+    while j < middle and rest >= mass:
+        rest -= mass
+        mass = mass * ((4 * j - 2) * (forest - j + 1)) // ((j + 1) * (4 * (forest - j) - 2))
+        j += 1
+    return forest + 1 - j if draw & 1 else j
+
+
+def _root_child_sizes(forest: int, draws: Iterator[int], bits: int) -> Iterator[int]:
+    """Root-child subtree sizes, in order, of a uniform plane tree on forest+1 nodes."""
+    while forest:
+        size = _first_tree_size(forest, next(draws), bits)
+        yield size
+        forest -= size
+
+
+def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np.ndarray:
     """Sizes of the r-th ancestors of `count` uniform trees of the given size.
 
     Uses the pair-spine bijection with plane trees of one node fewer (see
     _ancestor_size_from_tokens), so every draw is accepted and no tree is
-    materialized; usable at sizes where building each sample would dominate.
-    The needed data are just the root-child subtree sizes of the drawn
-    plane tree, i.e. the excursion lengths of its path, which are read off
-    the unrotated word: with first prefix-sum minimum at position k, the
-    rotated path returns to 0 exactly at later re-hits of the minimum and,
-    past the wrap, where the prefix sits one above it.
+    materialized.  The bijection reads only the root-child subtree sizes,
+    and those are drawn directly, one child after another, as the first
+    tree of the forest of nodes not yet placed (`_first_tree_size`).  A row
+    costs O(sqrt(size)) integer steps: about 0.065 ms at size 10^4, 0.2 ms
+    at 10^5 and 0.6 ms at 10^6 on a 2-vCPU VM.  Each child size is drawn
+    from its exact conditional law up to a relative 2^-46 per value, from
+    fixed-point integers and uniform random bytes; no floating point is
+    involved.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -286,28 +348,14 @@ def sample_reduced_sizes(
         return np.full(count, size, dtype=np.int64)
     if size <= 2:
         return np.ones(count, dtype=np.int64)
-    semilength = size - 2  # underlying plane tree has size-1 nodes
-    length = 2 * semilength + 1
-    rng = np.random.default_rng(seed)
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    template = np.full(length, -1, dtype=np.int8)
-    template[:semilength] = 1
-    while filled < count:
-        rows = min(batch, count - filled)
-        words = np.broadcast_to(template, (rows, length)).copy()
-        rng.permuted(words, axis=1, out=words)
-        prefix = words.cumsum(axis=1, dtype=np.int32)
-        first_min = prefix.argmin(axis=1)
-        min_value = np.take_along_axis(prefix, first_min[:, None], axis=1)
-        at_min = prefix == min_value
-        above_min = prefix == min_value + 1
-        for i in range(rows):
-            k = int(first_min[i])
-            tail = np.flatnonzero(at_min[i, k + 1 :])
-            head = np.flatnonzero(above_min[i, :k]) + (length - 1 - k)
-            boundaries = np.concatenate(([-1], tail, head))
-            child_sizes = np.diff(boundaries) >> 1
-            out[filled] = _ancestor_size_from_tokens(child_sizes, r)
-            filled += 1
-    return out
+    forest = size - 2  # root children of a plane tree on size-1 nodes
+    bits = _draw_bits(forest)
+    draws = _uniform_draws(np.random.default_rng(seed), bits)
+    return np.fromiter(
+        (
+            _ancestor_size_from_tokens(_root_child_sizes(forest, draws, bits), r)
+            for _ in range(count)
+        ),
+        dtype=np.int64,
+        count=count,
+    )

@@ -111,6 +111,13 @@ class TestSample:
             "",
         )
 
+    def test_count_runs_concatenate(self):
+        """Tree i comes from seed + i, so split runs join into one."""
+        whole = invoke("sample", "--size", "9", "--seed", "4", "--count", "5")[1]
+        head = invoke("sample", "--size", "9", "--seed", "4", "--count", "2")[1]
+        tail = invoke("sample", "--size", "9", "--seed", "6", "--count", "3")[1]
+        assert whole == head + tail
+
     def test_zero_count(self):
         assert invoke("sample", "--size", "6", "--seed", "1", "--count", "0") == (0, "", "")
 

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from catalan_stanley.enumeration import (
     SamplerConfig,
     TreeIterator,
     _ancestor_size_from_tokens,
+    _draw_bits,
+    _first_tree_size,
+    _root_child_sizes,
+    _uniform_draws,
     catalan,
     count_trees,
     enumerate_trees,
@@ -18,6 +23,7 @@ from catalan_stanley.enumeration import (
     sample_trees,
 )
 from catalan_stanley.errors import SamplingError
+from catalan_stanley.stats import ancestor_distribution, max_ancestor_size
 from catalan_stanley.tree import PlaneTree, age, chain, is_catalan_stanley, star
 
 
@@ -225,3 +231,57 @@ class TestSampleReducedSizes:
         exact = float(expected_ancestor_size(40, 1))
         standard_error = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean() - exact) < 4 * standard_error
+
+    @pytest.mark.parametrize("forest", [*range(1, 61), 10**4])
+    def test_first_tree_law_matches_exact(self, forest):
+        """Over all draws the walk returns j with p(j) = C(j-1)C(M-j)/C(M)
+        to a relative 2^-46, the residue at the middle included."""
+        bits = _draw_bits(forest)
+        sizes = range(1, forest + 1) if forest <= 60 else (1, 2, 50, forest // 2, forest)
+
+        def least_rest(k):  # least rest whose low-end walk returns k or more
+            lo, hi = 0, 1 << (bits - 1)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _first_tree_size(forest, 2 * mid, bits) >= k:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        def from_low_end(k):
+            return least_rest(k + 1) - least_rest(k)
+
+        for j in sizes:
+            walk = Fraction(from_low_end(j) + from_low_end(forest + 1 - j), 1 << bits)
+            exact = Fraction(catalan(j - 1) * catalan(forest - j), catalan(forest))
+            assert abs(walk - exact) <= exact / 2**46, (forest, j)
+
+    def test_root_child_sequence_chi_square(self):
+        """The whole ordered tuple of root-child sizes follows the plane-tree law."""
+        forest, draws = 6, 60000
+        bits = _draw_bits(forest)
+        rng_draws = _uniform_draws(np.random.default_rng(47), bits)
+        empirical = Counter(
+            tuple(_root_child_sizes(forest, rng_draws, bits)) for _ in range(draws)
+        )
+        exact = Counter(tuple(c.size() for c in t.children) for t in plane_trees(forest + 1))
+        keys = sorted(exact)
+        assert set(empirical) <= set(keys)
+        observed = [empirical[k] for k in keys]
+        expected = [draws * exact[k] / catalan(forest) for k in keys]
+        _, p_value = scipy.stats.chisquare(observed, expected)
+        assert p_value > 0.001
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_size_three(self, r):
+        bits = _draw_bits(1)
+        assert {_first_tree_size(1, d, bits) for d in (0, 1, (1 << bits) - 1)} == {1}
+        (only,) = ancestor_distribution(3, r).support
+        assert list(sample_reduced_sizes(3, 5, seed=2, r=r)) == [only] * 5
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_size_one_million(self, r):
+        draws = sample_reduced_sizes(10**6, 20, seed=0, r=r)
+        assert draws.dtype == np.int64 and len(draws) == 20
+        assert 1 <= draws.min() and draws.max() <= max_ancestor_size(10**6, r)
