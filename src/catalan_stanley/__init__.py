@@ -13,14 +13,11 @@ from .asymptotics import (
     prob_age_asym,
 )
 from .enumeration import (
-    SamplerConfig,
-    TreeIterator,
     catalan,
     count_trees,
     enumerate_trees,
     plane_trees,
     sample_reduced_sizes,
-    sample_tree,
     sample_trees,
 )
 from .errors import (

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import asymptotics, stats, verify as verify_mod
-from .enumeration import SamplerConfig, count_trees, enumerate_trees, sample_tree
+from .enumeration import count_trees, enumerate_trees, sample_trees
 from .errors import CapacityError, MalformedPathError, SamplingError, TreeParseError
 from .tree import (
     DyckPath,
@@ -174,12 +174,10 @@ def _cmd_sample(args, out) -> int:
     _check_size_cap("sample", args.count, MAX_SAMPLE_COUNT, flag="--count")
     if args.count < 0:
         raise ValueError("sample --count must be nonnegative")
-    words = []
-    for i in range(args.count):
-        cfg = SamplerConfig(
-            size=args.size, seed=args.seed + i, max_rejections=args.max_rejections
-        )
-        words.append(sample_tree(cfg).serialize())
+    words = [
+        sample_trees(args.size, 1, args.seed + i, args.max_rejections)[0].serialize()
+        for i in range(args.count)
+    ]
     if args.format == "json":
         print(
             json.dumps({"size": args.size, "seed": args.seed, "trees": words}),
@@ -191,21 +189,23 @@ def _cmd_sample(args, out) -> int:
     return 0
 
 
+def _emit_asym(payload: dict, mean, variance, fmt: str, out) -> None:
+    """Print the mean and variance expansions after the keys in `payload`."""
+    if fmt == "csv":
+        print("quantity,value,order", file=out)
+        print(f"expected,{mean.value!r},{mean.order_tag}", file=out)
+        print(f"variance,{variance.value!r},{variance.order_tag}", file=out)
+    else:
+        payload["expected"] = {"value": mean.value, "order": mean.order_tag}
+        payload["variance"] = {"value": variance.value, "order": variance.order_tag}
+        print(json.dumps(payload), file=out)
+
+
 def _cmd_age(args, out) -> int:
     if args.asym:
         mean = asymptotics.expected_age_asym(args.size)
         variance = asymptotics.age_variance_asym(args.size)
-        payload = {
-            "n": args.size,
-            "expected": {"value": mean.value, "order": mean.order_tag},
-            "variance": {"value": variance.value, "order": variance.order_tag},
-        }
-        if args.format == "csv":
-            print("quantity,value,order", file=out)
-            print(f"expected,{mean.value!r},{mean.order_tag}", file=out)
-            print(f"variance,{variance.value!r},{variance.order_tag}", file=out)
-        else:
-            print(json.dumps(payload), file=out)
+        _emit_asym({"n": args.size}, mean, variance, args.format, out)
         return 0
     _check_size_cap("age", args.size, MAX_AGE_SIZE)
     _emit_distribution(stats.age_distribution(args.size), args.format, out)
@@ -216,18 +216,7 @@ def _cmd_ancestor(args, out) -> int:
     if args.asym:
         mean = asymptotics.expected_ancestor_asym(args.size, args.depth)
         variance = asymptotics.ancestor_variance_asym(args.size, args.depth)
-        payload = {
-            "n": args.size,
-            "r": args.depth,
-            "expected": {"value": mean.value, "order": mean.order_tag},
-            "variance": {"value": variance.value, "order": variance.order_tag},
-        }
-        if args.format == "csv":
-            print("quantity,value,order", file=out)
-            print(f"expected,{mean.value!r},{mean.order_tag}", file=out)
-            print(f"variance,{variance.value!r},{variance.order_tag}", file=out)
-        else:
-            print(json.dumps(payload), file=out)
+        _emit_asym({"n": args.size, "r": args.depth}, mean, variance, args.format, out)
         return 0
     _check_size_cap("ancestor", args.size, MAX_ANCESTOR_SIZE)
     _emit_distribution(stats.ancestor_distribution(args.size, args.depth), args.format, out)

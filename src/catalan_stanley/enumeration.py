@@ -8,9 +8,10 @@ descents.  Generation is a depth-first walk over Dyck words in that order,
 pruned to the words that can still be completed; it streams the trees in
 O(size) memory.
 
-Sampling draws a uniform plane tree of the target size through a uniform
-Dyck path (balanced-sequence shuffle plus cycle-lemma rotation) and accepts
-iff the tree is Catalan-Stanley; the acceptance rate tends to 1/4.
+`sample_trees` is the one tree sampler.  It draws uniform Dyck paths
+(balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
+whose returns all end odd descents, which are the uniform Catalan-Stanley
+trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  One tree is `sample_trees(size, 1, seed)[0]`.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
 n-1 nodes, so `sample_reduced_sizes` draws those one by one, each as the
@@ -23,22 +24,18 @@ every size comes out with its exact probability up to a relative 2^-46.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import SamplingError
-from .tree import DyckPath, PlaneTree, dyck_to_tree
+from .tree import PlaneTree, _steps_to_tree
 
 __all__ = [
     "catalan",
     "count_trees",
-    "TreeIterator",
     "enumerate_trees",
     "plane_trees",
-    "SamplerConfig",
-    "sample_tree",
     "sample_trees",
     "sample_reduced_sizes",
 ]
@@ -123,49 +120,19 @@ def plane_trees(n: int) -> tuple[PlaneTree, ...]:
     return tuple(_dyck_trees(n - 1, odd_returns=False))
 
 
-class TreeIterator:
-    """Streams every Catalan-Stanley tree of one size exactly once.
+def enumerate_trees(n: int) -> Iterator[PlaneTree]:
+    """Streams every Catalan-Stanley tree of size n exactly once.
 
     Trees come out in lexicographic order of their parenthesis
-    serialization, which pins golden files.
+    serialization, which pins golden files.  A size below 1 raises at the
+    call, not at the first step.
     """
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("size must be positive")
-        self.size = size
-        self._trees = _dyck_trees(size - 1, odd_returns=True)
-
-    def __iter__(self) -> "TreeIterator":
-        return self
-
-    def __next__(self) -> PlaneTree:
-        return next(self._trees)
-
-    def __length_hint__(self) -> int:
-        return count_trees(self.size)
+    if n < 1:
+        raise ValueError("size must be positive")
+    return _dyck_trees(n - 1, odd_returns=True)
 
 
-def enumerate_trees(n: int) -> TreeIterator:
-    return TreeIterator(n)
-
-
-@dataclass(frozen=True, slots=True)
-class SamplerConfig:
-    size: int
-    seed: int
-    max_rejections: int = 1000
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.max_rejections < 1:
-            raise ValueError("max_rejections must be at least 1")
-
-
-def _draw_plane_paths(rng: np.random.Generator, semilength: int, batch: int) -> np.ndarray:
+def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> np.ndarray:
     """Uniform Dyck paths of the given semilength, one per row.
 
     Shuffle m up-steps among m+1 down-steps; of the 2m+1 rotations of such
@@ -175,7 +142,7 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, batch: int) -> 
     """
     m = semilength
     length = 2 * m + 1
-    arr = np.full((batch, length), -1, dtype=np.int8)
+    arr = np.full((rows, length), -1, dtype=np.int8)
     arr[:, :m] = 1
     rng.permuted(arr, axis=1, out=arr)
     prefix = arr.cumsum(axis=1, dtype=np.int32)
@@ -185,18 +152,13 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, batch: int) -> 
     return rotated[:, : 2 * m]
 
 
-def _path_stats(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prefix heights, index of the latest up-step so far, and validity mask.
-
-    A row is valid iff every maximal descent run ending at height 0 has odd
-    length; the run ending at position i has length i - (last up index <= i).
-    """
-    n_steps = paths.shape[1]
-    heights = paths.cumsum(axis=1, dtype=np.int32)
-    pos = np.arange(n_steps, dtype=np.int32)
+def _odd_return_rows(paths: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose every maximal descent run ending at height 0
+    has odd length; the run ending at step i has length i - (last up step <= i)."""
+    pos = np.arange(paths.shape[1], dtype=np.int32)
     last_up = np.maximum.accumulate(np.where(paths == 1, pos, -1), axis=1)
-    bad = (heights == 0) & (((pos - last_up) % 2) == 0)
-    return heights, last_up, ~bad.any(axis=1)
+    at_axis = paths.cumsum(axis=1, dtype=np.int32) == 0
+    return ~(at_axis & ((pos - last_up) % 2 == 0)).any(axis=1)
 
 
 def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
@@ -228,39 +190,37 @@ def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
     return total
 
 
-def sample_tree(cfg: SamplerConfig) -> PlaneTree:
-    """Uniformly random Catalan-Stanley tree of cfg.size, deterministic per seed."""
-    return sample_trees(cfg.size, 1, cfg.seed, cfg.max_rejections, batch=1)[0]
-
-
 def sample_trees(
-    size: int, count: int, seed: int = 0, max_rejections: int = 1000, batch: int = 1024
+    size: int, count: int, seed: int = 0, max_rejections: int = 1000
 ) -> list[PlaneTree]:
-    """`count` uniform trees from one generator, drawn `batch` paths at a time.
+    """`count` uniform Catalan-Stanley trees of the given size, deterministic per seed.
 
     Accepted paths are kept in draw order; at most count * max_rejections
-    paths are drawn.
+    paths are drawn.  A round draws at most 2^21 steps (one path, if a
+    path is longer) and never more paths than trees are still needed, so
+    memory stays bounded at every size.  The rows of a round are shuffled one after another from the same
+    stream, so the trees do not depend on how the draws split into rounds.
     """
-    SamplerConfig(size, seed, max_rejections)  # validates the shared arguments
+    if size < 1:
+        raise ValueError("size must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
+    if max_rejections < 1:
+        raise ValueError("max_rejections must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
     if size == 1:
         return [PlaneTree()] * count
     rng = np.random.default_rng(seed)
+    round_cap = max(1, 2**21 // (2 * size - 1))
     out: list[PlaneTree] = []
     draws = count * max_rejections
     draws_left = draws
     while len(out) < count and draws_left > 0:
-        rows = min(batch, draws_left)
+        rows = min(draws_left, count - len(out), round_cap)
         paths = _draw_plane_paths(rng, size - 1, rows)
-        _, _, valid = _path_stats(paths)
         draws_left -= rows
-        for row in paths[valid]:
-            out.append(dyck_to_tree(DyckPath(tuple(row.tolist()))))
-            if len(out) == count:
-                break
+        out.extend(_steps_to_tree(row) for row in paths[_odd_return_rows(paths)].tolist())
     if len(out) < count:
         raise SamplingError(
             f"accepted {len(out)} of {count} Catalan-Stanley trees of size {size} "

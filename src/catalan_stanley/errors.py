@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "TreeParseError",
+    "MalformedPathError",
+    "NotCatalanStanleyError",
+    "SamplingError",
+    "CapacityError",
+]
+
 
 class TreeParseError(ValueError):
     """Raised for malformed balanced-parentheses input.

@@ -14,8 +14,9 @@ with generalized binomials (negative upper index expands (1+u)^e as a
 series); the sum stops once beta_k < 0, i.e. k > n-1.  For n >= 3 every
 surviving term has e_k >= 0 and the expression coincides with the
 upper-index-symmetric form binom(e, n-3) + binom(e, n-2) - 2 binom(e, n-1)
-under the convention binom(a,b) = 0 for b < 0 or b > a; the generalized
-form is also correct at n = 2, where e_k is negative.
+under the convention binom(a,b) = 0 for b < 0 or b > a.  At n = 2 the one
+term, k = 1, has e = -1 and beta = 0: the constant term of (1+u)^-1, so
+the table is (1,).
 
 Summing f(n,r) over r collapses, via the signed divisor count
 theta(k) = (-1)^(k-1) sigma0_odd(k), to the closed form for the expected
@@ -46,24 +47,8 @@ __all__ = [
 ]
 
 
-def _gb(a: int, b: int) -> int:
-    """Generalized binomial coefficient with integer upper index."""
-    if b < 0:
-        return 0
-    if a >= 0:
-        return math.comb(a, b) if b <= a else 0
-    return (-1) ** b * math.comb(b - a - 1, b)
-
-
-def _extraction_term(n: int, k: int) -> int:
-    """[u^(n-1-k)] (1 + u - 2u^2) (1+u)^(2n-4-k)."""
-    e = 2 * n - 4 - k
-    beta = n - 1 - k
-    return _gb(e, beta) + _gb(e, beta - 1) - 2 * _gb(e, beta - 2)
-
-
 def _extraction_table(n: int) -> tuple[int, ...]:
-    """_extraction_term(n, k) for k = 1..n-1 (all later k give 0).
+    """[u^(n-1-k)] (1 + u - 2u^2) (1+u)^(2n-4-k) for k = 1..n-1 (all later k give 0).
 
     Built with three running binomials stepped by the exact ratio
     binom(a-1, b-1) = binom(a, b) * b / a, which beats recomputing
@@ -72,7 +57,7 @@ def _extraction_table(n: int) -> tuple[int, ...]:
     if n < 2:
         return ()
     if n == 2:
-        return (_extraction_term(2, 1),)
+        return (1,)  # [u^0] (1 + u - 2u^2) (1+u)^(-1)
     m = n - 2  # beta at k = 1; the upper index stays m + n - 3
     b0 = math.comb(2 * n - 5, m)
     b1 = math.comb(2 * n - 5, m - 1) if m >= 1 else 0

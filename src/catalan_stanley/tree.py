@@ -201,8 +201,13 @@ def tree_to_dyck(tau: PlaneTree) -> DyckPath:
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
     """Inverse glove bijection; the result has semilength+1 nodes."""
+    return _steps_to_tree(path.steps)
+
+
+def _steps_to_tree(steps) -> PlaneTree:
+    """`dyck_to_tree` on +1/-1 steps already known to form a Dyck path."""
     stack: list[list[PlaneTree]] = [[]]
-    for s in path.steps:
+    for s in steps:
         if s == 1:
             stack.append([])
         else:

@@ -19,13 +19,12 @@ import mpmath
 from . import asymptotics
 from . import tree as tree_ops
 from .enumeration import (
+    _ancestor_size_from_tokens,
     count_trees,
     enumerate_trees,
     plane_trees,
     sample_reduced_sizes,
     sample_trees,
-    SamplerConfig,
-    sample_tree,
 )
 from .series import (
     BivariateSeries,
@@ -460,16 +459,9 @@ def _check_asymptotics_layer(report: VerifyReport) -> None:
 
     ancestor_errors = []
     for n in _LADDER:
-        prediction = (
-            Fraction(n, 4)
-            + Fraction(2 * 4 - 2 + 1 - 2, 2 * 4)
-            + Fraction(3 * 1 * (1 - 3) * 1, 2 * 16) / n
-        )
-        ancestor_errors.append(abs(expected_ancestor_size(n, 1) - prediction))
-    decays = all(
-        float(a) / float(b) >= 2**1.5 / 2
-        for a, b in zip(ancestor_errors, ancestor_errors[1:])
-    )
+        expansion = asymptotics.expected_ancestor_asym(n, 1).value
+        ancestor_errors.append(abs(float(expected_ancestor_size(n, 1)) - expansion))
+    decays = all(a / b >= 2**1.5 / 2 for a, b in zip(ancestor_errors, ancestor_errors[1:]))
     report.add("ancestor_mean_convergence", f"ladder={_LADDER}", decays, True)
 
 
@@ -483,8 +475,8 @@ def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
 
 
 def _check_sampler_layer(report: VerifyReport) -> None:
-    first = sample_tree(SamplerConfig(size=30, seed=12345))
-    second = sample_tree(SamplerConfig(size=30, seed=12345))
+    first = sample_trees(30, 1, 12345)[0]
+    second = sample_trees(30, 1, 12345)[0]
     report.add("sampler_deterministic", "size=30 seed=12345", first.serialize(), second.serialize())
 
     samples = sample_trees(18, 500, seed=7)
@@ -502,8 +494,6 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     expected = [draws / len(keys)] * len(keys)
     p_value = _chi_square_pvalue(observed, expected)
     report.add("sampler_uniform(5)", f"draws={draws}", p_value >= 0.001, True)
-
-    from .enumeration import _ancestor_size_from_tokens
 
     token_census_ok = True
     for n in range(2, 11):

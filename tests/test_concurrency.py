@@ -3,7 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 
 from catalan_stanley.asymptotics import ConstantSpec, constant_c
-from catalan_stanley.enumeration import SamplerConfig, enumerate_trees, sample_tree
+from catalan_stanley.enumeration import enumerate_trees, sample_trees
 from catalan_stanley.series import phi_apply, series_S, series_T
 from catalan_stanley.stats import age_distribution, expected_age
 from catalan_stanley.tree import age, reduce
@@ -11,7 +11,7 @@ from catalan_stanley.tree import age, reduce
 
 def _workload(worker: int):
     s = series_S(10)
-    tau = sample_tree(SamplerConfig(size=12, seed=7))
+    tau = sample_trees(12, 1, seed=7)[0]
     return (
         series_T(12).coefficients(),
         phi_apply(s) == s,

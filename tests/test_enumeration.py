@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -7,8 +9,6 @@ import pytest
 import scipy.stats
 
 from catalan_stanley.enumeration import (
-    SamplerConfig,
-    TreeIterator,
     _ancestor_size_from_tokens,
     _draw_bits,
     _first_tree_size,
@@ -19,7 +19,6 @@ from catalan_stanley.enumeration import (
     enumerate_trees,
     plane_trees,
     sample_reduced_sizes,
-    sample_tree,
     sample_trees,
 )
 from catalan_stanley.errors import SamplingError
@@ -89,10 +88,11 @@ class TestEnumerate:
         assert all(t.size() == 40 and is_catalan_stanley(t) for t in trees)
 
     def test_iterator_protocol(self):
+        with pytest.raises(ValueError):
+            enumerate_trees(-1)  # at the call, before the first tree is asked for
         iterator = enumerate_trees(4)
-        assert isinstance(iterator, TreeIterator)
-        assert iterator.size == 4
-        assert iterator.__length_hint__() == 2
+        assert iter(iterator) is iterator
+        assert len(list(iterator)) == 2
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -110,31 +110,19 @@ class TestPlaneTrees:
         assert all(a < b for a, b in zip(words, words[1:]))
 
 
-class TestSamplerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(size=0, seed=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(size=3, seed=-1)
-        with pytest.raises(ValueError):
-            SamplerConfig(size=3, seed=2**64)
-        with pytest.raises(ValueError):
-            SamplerConfig(size=3, seed=0, max_rejections=0)
-
-
 class TestSampleTree:
+    """One tree per seed, as `sample` and `verify` draw them."""
+
     def test_size_one_always_root(self):
         for seed in range(5):
-            assert sample_tree(SamplerConfig(size=1, seed=seed)) == PlaneTree()
+            assert sample_trees(1, 1, seed)[0] == PlaneTree()
 
     def test_deterministic(self):
-        first = sample_tree(SamplerConfig(size=100, seed=4))
-        second = sample_tree(SamplerConfig(size=100, seed=4))
-        assert first.serialize() == second.serialize()
+        assert sample_trees(100, 1, 4)[0] == sample_trees(100, 1, 4)[0]
 
     @pytest.mark.parametrize("size", [2, 3, 7, 20, 120])
     def test_samples_are_valid(self, size):
-        tau = sample_tree(SamplerConfig(size=size, seed=17))
+        tau = sample_trees(size, 1, 17)[0]
         assert tau.size() == size
         assert is_catalan_stanley(tau)
 
@@ -142,17 +130,14 @@ class TestSampleTree:
         # 2 trees of size 4; binomial 4-sigma band around 1/2 is +-0.02
         star_word = star(4).serialize()
         chain_word = chain(4).serialize()
-        hits = Counter(
-            sample_tree(SamplerConfig(size=4, seed=s)).serialize()
-            for s in range(10000)
-        )
+        hits = Counter(sample_trees(4, 1, s)[0].serialize() for s in range(10000))
         assert set(hits) == {star_word, chain_word}
         assert abs(hits[star_word] / 10000 - 0.5) < 0.02
 
     def test_rejection_budget_exhausted(self):
         # seed 0 rejects its first draw at size 12
         with pytest.raises(SamplingError, match="accepted 0 of 1 .* size 12 in 1 draws"):
-            sample_tree(SamplerConfig(size=12, seed=0, max_rejections=1))
+            sample_trees(12, 1, 0, max_rejections=1)
 
 
 class TestSampleTrees:
@@ -179,12 +164,49 @@ class TestSampleTrees:
             dict(size=5, count=3, seed=-1),
             dict(size=5, count=3, seed=2**64),
             dict(size=5, count=3, max_rejections=0),
-            dict(size=5, count=3, batch=0),
         ],
     )
     def test_validation(self, args):
         with pytest.raises(ValueError):
             sample_trees(**args)
+
+    @pytest.mark.parametrize("size,count,seed", [(3, 4, 0), (12, 1, 3), (40, 7, 2), (1200, 2, 5)])
+    def test_prefix_of_longer_run(self, size, count, seed):
+        """The trees drawn do not depend on how many more are asked for."""
+        assert sample_trees(size, count, seed) == sample_trees(size, count + 5, seed)[:count]
+
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            ((2, 3, 0, 1000), "e98a740256966408b25ef040155674d4404d8a89b0fe76f350348ba9c944ebfa"),
+            ((7, 5, 3, 1000), "c84c554fac954751107aa58bf5ac5098b6c827209385f5edcdf1ebe6bd4d50b7"),
+            ((20, 3, 1, 3), "ea113de337f08d694e94851c6081432dec7f479362417e1b75ee9f36d3c7f099"),
+            ((30, 3, 9, 1000), "8d388bb8f761d5a61ad0912732ff35cb6b96c6c8173585806fa7ab0199fb5948"),
+            ((150, 2, 1, 1000), "fce65d752aa6aa4cc8af0acce8370a8e848b21b16ec2a64d8221789db805a7fa"),
+            ((400, 1, 2, 1000), "54e1a1f6495ae8ca803d77d1417b3e97ef9a900103fa7ec2bbf5bed98e58e319"),
+        ],
+    )
+    def test_pinned_output(self, args, digest):
+        """sha256 of the serialized trees, one per line, for (size, count, seed,
+        max_rejections); recorded when the sampler drew 1024 paths a round."""
+        words = "\n".join(t.serialize() for t in sample_trees(*args))
+        assert hashlib.sha256(words.encode()).hexdigest() == digest
+
+    def test_pinned_budget_error(self):
+        with pytest.raises(SamplingError, match="accepted 2 of 4 .* size 12 in 12 draws"):
+            sample_trees(12, 4, 5, max_rejections=3)
+
+    def test_large_size_memory_is_bounded(self):
+        """Two trees of size 10^4 draw only the paths they need; a fixed round of
+        1024 paths peaked at about 410 MiB."""
+        tracemalloc.start()
+        try:
+            trees = sample_trees(10**4, 2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [t.size() for t in trees] == [10**4, 10**4]
+        assert peak < 32 * 2**20
 
 
 class TestSampleReducedSizes:

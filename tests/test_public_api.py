@@ -1,10 +1,13 @@
-"""Every module's declared public surface exists.
+"""Every module's declared public surface exists, and the package's matches it.
 
 Tools that wrap the public functions look each name in ``__all__`` up with
-``getattr``, so a name left behind by a deletion breaks them at run time.
+``getattr``, so a name left behind by a deletion breaks them at run time,
+and a name the package re-exports but its module leaves out of ``__all__``
+goes unwrapped.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -25,3 +28,21 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def _reexports():
+    return sorted(
+        name
+        for name, obj in vars(catalan_stanley).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    )
+
+
+def test_reexports_found():
+    assert "sample_trees" in _reexports()
+
+
+@pytest.mark.parametrize("name", _reexports())
+def test_reexport_in_defining_module_all(name):
+    module = importlib.import_module(getattr(catalan_stanley, name).__module__)
+    assert name in getattr(module, "__all__", ())
