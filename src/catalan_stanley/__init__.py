@@ -34,7 +34,6 @@ from .series import (
     phi_power,
     series_F_geq,
     series_F_leq,
-    series_G,
     series_S,
     series_T,
 )

@@ -28,11 +28,12 @@ USAGE_ERROR = 2
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2 s, and from 7155 on a numerator passes Python's 4300-digit
-# int-to-str limit.  The exact `ancestor` pmf expands G_r to order n:
-# size 200 takes about 5 s, size 400 over a minute.  `--asym` takes the
-# caps of the asymptotics module (n up to 2**53, r up to 255).
+# int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
+# pairs of series of order n: at --depth 1 size 480 takes about 5 s, 500
+# about 5.5 s and 600 about 10 s; deeper runs are faster.  `--asym` takes
+# the caps of the asymptotics module (n up to 2**53, r up to 255).
 MAX_AGE_SIZE = 7000
-MAX_ANCESTOR_SIZE = 200
+MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
 # `sample` draws about 3.5 us per node plus 0.2 ms per tree: one tree of size

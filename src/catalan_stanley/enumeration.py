@@ -145,11 +145,13 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> n
     arr = np.full((rows, length), -1, dtype=np.int8)
     arr[:, :m] = 1
     rng.permuted(arr, axis=1, out=arr)
-    prefix = arr.cumsum(axis=1, dtype=np.int32)
-    first_min = prefix.argmin(axis=1)
-    idx = (first_min[:, None] + 1 + np.arange(length)) % length
-    rotated = np.take_along_axis(arr, idx, axis=1)
-    return rotated[:, : 2 * m]
+    start = arr.cumsum(axis=1, dtype=np.int32).argmin(axis=1) + 1
+    # row i's rotation is the window of length 2m at start[i] in the doubled
+    # row, so no per-step index array is built
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((arr, arr), axis=1), 2 * m, axis=1
+    )
+    return windows[np.arange(rows), start]
 
 
 def _odd_return_rows(paths: np.ndarray) -> np.ndarray:

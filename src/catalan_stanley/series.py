@@ -4,8 +4,9 @@ Carriers for the generating functions of the growth process: the plane
 tree series T(z) with z + T^2 = T, the class series S(z,t) = z +
 zt/(1 - t - T^2) where t marks the rightmost leaves in the branches at
 the root, the expansion operator Phi(f)(z,t) = f(z, tT^2/(1-t))/(1-t)
-together with its closed r-fold form, the age survival series, and the
-ancestor-size series G_r(z,v).
+together with its closed r-fold form, and the age survival series.  The
+ancestor-size pmf needs only univariate series (see
+`stats.ancestor_distribution`).
 
 Univariate series hold coefficients 0..N as a dense tuple of Python
 ints.  Every series of the process has integer coefficients, because
@@ -13,13 +14,13 @@ each denominator it divides by (1-t, 1-t-T^2, the denominator of W) has
 constant term 1; division therefore asks for a constant term of +1 or
 -1, whose inverse is itself, and any other coefficient type is refused.
 
-Bivariate series are truncated to the box {z-degree <= N, second-degree
-<= N} and stored as rows: row j is the univariate z-series multiplying
-t^j (or v^j), so every bivariate operation is a loop over the univariate
-kernels.  All operations used here (sum, product, division by a unit,
-substitution of a series with positive z-valuation) only ever move
-coefficients to higher degrees, so every stored coefficient is exact.
-No floating point enters this module.
+Bivariate series are truncated to the box {z-degree <= N, t-degree <= N}
+and stored as rows: row j is the univariate z-series multiplying t^j, so
+every bivariate operation is a loop over the univariate kernels.  All
+operations used here (sum, product, division by a unit, substitution of
+a series with positive z-valuation) only ever move coefficients to
+higher degrees, so every stored coefficient is exact.  No floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -37,25 +38,10 @@ __all__ = [
     "phi_power",
     "series_F_leq",
     "series_F_geq",
-    "series_G",
 ]
 
 
 _UNIT_ERROR = "series division requires a constant term of +1 or -1"
-
-
-def _power(base, exponent, one):
-    """base**exponent by repeated squaring, starting from the unit `one`."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("only nonnegative integer powers are supported")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
 
 
 class TruncatedSeries:
@@ -161,7 +147,17 @@ class TruncatedSeries:
         return TruncatedSeries(out, n)
 
     def __pow__(self, exponent: int):
-        return _power(self, exponent, TruncatedSeries.constant(1, self.order))
+        """Repeated squaring."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("only nonnegative integer powers are supported")
+        result, base = TruncatedSeries.constant(1, self.order), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k, dropping what leaves the truncation window."""
@@ -182,20 +178,18 @@ class TruncatedSeries:
 
 
 class BivariateSeries:
-    """Series in z and one marker variable, boxed at degree `order` in each.
+    """Series in z and t, boxed at degree `order` in each.
 
-    Built from a mapping {(z-degree, second-degree): coefficient}; stored
-    as one TruncatedSeries of order `order` per second-degree, without
-    trailing zero rows.
+    Built from a mapping {(z-degree, t-degree): coefficient}; stored as one
+    TruncatedSeries of order `order` per t-degree, without trailing zero
+    rows.
     """
 
-    __slots__ = ("_rows", "_order", "_var")
+    __slots__ = ("_rows", "_order")
 
-    def __init__(self, coeffs, order: int, var: str = "t"):
+    def __init__(self, coeffs, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        if var not in ("t", "v"):
-            raise ValueError("second variable must be 't' or 'v'")
         rows: dict[int, list] = {}
         for (i, j), c in dict(coeffs).items():
             if not 0 <= i or not 0 <= j:
@@ -203,7 +197,6 @@ class BivariateSeries:
             if i <= order and j <= order:
                 rows.setdefault(j, [0] * (order + 1))[i] = c
         self._order = order
-        self._var = var
         top = max(rows, default=-1)
         self._rows = self._trimmed(
             [TruncatedSeries(rows.get(j, ()), order) for j in range(top + 1)]
@@ -216,33 +209,28 @@ class BivariateSeries:
         return tuple(rows)
 
     def _with_rows(self, rows: list[TruncatedSeries]) -> "BivariateSeries":
-        """A series of this order and variable; rows must have this order."""
+        """A series of this order; rows must have this order."""
         out = object.__new__(BivariateSeries)
         out._order = self._order
-        out._var = self._var
         out._rows = self._trimmed(rows)
         return out
 
     @classmethod
-    def constant(cls, value, order: int, var: str = "t") -> "BivariateSeries":
-        return cls({(0, 0): value}, order, var)
+    def constant(cls, value, order: int) -> "BivariateSeries":
+        return cls({(0, 0): value}, order)
 
     @classmethod
-    def monomial(cls, i: int, j: int, order: int, var: str = "t", value=1) -> "BivariateSeries":
-        return cls({(i, j): value}, order, var)
+    def monomial(cls, i: int, j: int, order: int, value=1) -> "BivariateSeries":
+        return cls({(i, j): value}, order)
 
     @classmethod
-    def from_univariate(cls, f: TruncatedSeries, order: int, var: str = "t") -> "BivariateSeries":
+    def from_univariate(cls, f: TruncatedSeries, order: int) -> "BivariateSeries":
         row = f.coefficients()[: order + 1]
-        return cls({(i, 0): c for i, c in enumerate(row)}, order, var)
+        return cls({(i, 0): c for i, c in enumerate(row)}, order)
 
     @property
     def order(self) -> int:
         return self._order
-
-    @property
-    def var(self) -> str:
-        return self._var
 
     def coefficient(self, i: int, j: int) -> int:
         if not (0 <= i <= self._order and 0 <= j <= self._order):
@@ -263,14 +251,12 @@ class BivariateSeries:
         return min((v for v in vals if v is not None), default=None)
 
     def _check_compatible(self, other: "BivariateSeries") -> None:
-        if self._var != other._var:
-            raise ValueError(f"mixing variables {self._var!r} and {other._var!r}")
         if self._order != other._order:
             raise ValueError("mixing truncation orders")
 
     def __add__(self, other):
         if not isinstance(other, BivariateSeries):
-            return self + BivariateSeries.constant(other, self._order, self._var)
+            return self + BivariateSeries.constant(other, self._order)
         self._check_compatible(other)
         longer, shorter = sorted((self._rows, other._rows), key=len, reverse=True)
         return self._with_rows(
@@ -302,9 +288,6 @@ class BivariateSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        return _power(self, exponent, BivariateSeries.constant(1, self._order, self._var))
-
     def __truediv__(self, other):
         if not isinstance(other, BivariateSeries):
             return NotImplemented
@@ -323,45 +306,33 @@ class BivariateSeries:
         return self._with_rows(out)
 
     def substitute_second(self, g: "BivariateSeries") -> "BivariateSeries":
-        """Replace the second variable by g(z, second); g needs z-valuation >= 1."""
+        """Replace t by g(z, t); g needs z-valuation >= 1."""
         self._check_compatible(g)
         val = g.z_valuation()
         if val is not None and val < 1:
             raise ValueError("substitution requires z-valuation >= 1")
-        # Horner's rule over the rows, highest power of the second variable first
+        # Horner's rule over the rows, highest power of t first
         result = self._with_rows([])
         for row in reversed(self._rows):
             result = result * g + self._with_rows([row])
         return result
 
     def diagonal(self) -> TruncatedSeries:
-        """Set the second variable equal to z."""
+        """Set t equal to z."""
         out = TruncatedSeries([], self._order)
         for j, row in enumerate(self._rows):
             out = out + row.shift(j)
         return out
 
-    def slice_z(self, n: int) -> dict[int, int]:
-        """Coefficients of z^n as a map from second-variable degree."""
-        if not 0 <= n <= self._order:
-            raise ValueError(f"degree {n} outside computed order {self._order}")
-        return {j: row._coeffs[n] for j, row in enumerate(self._rows) if row._coeffs[n]}
-
     def __eq__(self, other):
-        return (
-            isinstance(other, BivariateSeries)
-            and self._var == other._var
-            and self.items() == other.items()
-        )
+        return isinstance(other, BivariateSeries) and self.items() == other.items()
 
     def __hash__(self):
-        return hash((self._var, tuple(self.items())))
+        return hash(tuple(self.items()))
 
     def __repr__(self):
-        return (
-            f"BivariateSeries(order={self._order}, var={self._var!r}, "
-            f"{len(self.items())} terms)"
-        )
+        # `verify` prints this repr; the var='t' field keeps its output stable
+        return f"BivariateSeries(order={self._order}, var='t', {len(self.items())} terms)"
 
 
 def series_T(order: int) -> TruncatedSeries:
@@ -387,24 +358,11 @@ def series_S(order: int) -> BivariateSeries:
     )
 
 
-def _operator_input(f: BivariateSeries, order: int | None) -> BivariateSeries:
-    """f truncated to `order` (default: its own); the operators act on t."""
-    if f.var != "t":
-        raise ValueError("operator input must use second variable 't'")
-    n = f.order if order is None else order
-    if n > f.order:
-        raise ValueError(
-            f"cannot extend a series computed to order {f.order} up to {n}"
-        )
-    return f if n == f.order else BivariateSeries(dict(f.items()), n, f.var)
-
-
-def phi_apply(f: BivariateSeries, order: int | None = None) -> BivariateSeries:
+def phi_apply(f: BivariateSeries) -> BivariateSeries:
     """Expansion operator: Phi(f)(z,t) = f(z, tT^2/(1-t)) / (1-t).
 
     Enumerates all trees reducing into the family counted by f.
     """
-    f = _operator_input(f, order)
     n = f.order
     one_minus_t = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n)
     t_sq = BivariateSeries.from_univariate(series_T(n) ** 2, n)
@@ -412,23 +370,7 @@ def phi_apply(f: BivariateSeries, order: int | None = None) -> BivariateSeries:
     return f.substitute_second(g) / one_minus_t
 
 
-def _geometric_t_powers(order: int, r: int) -> TruncatedSeries:
-    """(1 - T^{2r}) / (1 - T^2) written as the polynomial sum_{k<r} T^{2k}.
-
-    T^{2k} has z-valuation 2k, so it vanishes at this order once 2k > order
-    and the sum stops there, however large r is.
-    """
-    t = series_T(order)
-    total = TruncatedSeries.constant(0, order)
-    power = TruncatedSeries.constant(1, order)
-    t_sq = t * t
-    for _ in range(min(r, order // 2 + 1)):
-        total = total + power
-        power = power * t_sq
-    return total
-
-
-def phi_power(f: BivariateSeries, r: int, order: int | None = None) -> BivariateSeries:
+def phi_power(f: BivariateSeries, r: int) -> BivariateSeries:
     """Closed form of the r-fold expansion.
 
     Phi^r(f)(z,t) = W * f(z, t T^{2r} W) with
@@ -437,14 +379,14 @@ def phi_power(f: BivariateSeries, r: int, order: int | None = None) -> Bivariate
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    f = _operator_input(f, order)
     if r == 0:
         return f
     n = f.order
-    geometric = BivariateSeries.from_univariate(_geometric_t_powers(n, r), n)
+    t = series_T(n)
+    t_pow = t ** (2 * r)
+    geometric = BivariateSeries.from_univariate((1 - t_pow) / (1 - t * t), n)
     w_den = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n) * geometric
-    t_pow = BivariateSeries.from_univariate(series_T(n) ** (2 * r), n)
-    inner = BivariateSeries.monomial(0, 1, n) * t_pow / w_den
+    inner = BivariateSeries.monomial(0, 1, n) * BivariateSeries.from_univariate(t_pow, n) / w_den
     return f.substitute_second(inner) / w_den
 
 
@@ -452,7 +394,8 @@ def series_F_leq(r: int, order: int) -> BivariateSeries:
     """Trees of age <= r: F_r(z,t) = z / (1 - t(1-T^{2r})/(1-T^2))."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    geometric = BivariateSeries.from_univariate(_geometric_t_powers(order, r), order)
+    t = series_T(order)
+    geometric = BivariateSeries.from_univariate((1 - t ** (2 * r)) / (1 - t * t), order)
     den = (
         BivariateSeries.constant(1, order)
         - BivariateSeries.monomial(0, 1, order) * geometric
@@ -469,26 +412,3 @@ def series_F_geq(r: int, order: int) -> TruncatedSeries:
     numerator = (TruncatedSeries.constant(1, order) + t).shift(1) * t_pow
     return numerator / (TruncatedSeries.constant(1, order) + t_pow)
 
-
-def series_G(r: int, order: int) -> BivariateSeries:
-    """Joint series of size (z) and r-th ancestor size (v).
-
-    Built from the closed-form expansion applied to S(zv, tv) with t set
-    to z afterwards, which collapses to
-    G_r(z,v) = W(z) * S(zv, z T^{2r} W(z) v),
-    W(z) = 1 / (1 - z(1-T^{2r})/(1-T^2)).
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    n = order
-    t = series_T(n)
-    w = TruncatedSeries.constant(1, n) / (
-        TruncatedSeries.constant(1, n) - _geometric_t_powers(n, r).shift(1)
-    )
-    u_coeffs = (t ** (2 * r) * w).shift(1).coefficients()
-    u = BivariateSeries({(i, 1): c for i, c in enumerate(u_coeffs)}, n, "v")
-    t_zv = BivariateSeries({(i, i): c for i, c in enumerate(t.coefficients())}, n, "v")
-    zv = BivariateSeries.monomial(1, 1, n, "v")
-    den = BivariateSeries.constant(1, n, "v") - u - t_zv * t_zv
-    s_at = zv + zv * u / den
-    return BivariateSeries.from_univariate(w, n, "v") * s_at

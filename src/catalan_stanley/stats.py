@@ -21,6 +21,11 @@ the table is (1,).
 Summing f(n,r) over r collapses, via the signed divisor count
 theta(k) = (-1)^(k-1) sigma0_odd(k), to the closed form for the expected
 age; the second moment uses E(D^2) = sum (2r-1) P(D >= r).
+
+The pmf of the r-th ancestor size is a coefficient of the joint series
+G_r(z,v), read as a sum over ancestor shapes of products of univariate
+series coefficients (see `_ancestor_counts`); no bivariate series is
+built, and a size-n pmf costs about n/(2r+1) products of order n.
 """
 
 from __future__ import annotations
@@ -274,12 +279,34 @@ def max_ancestor_size(n: int, r: int) -> int:
     return n - 2 * r
 
 
-def ancestor_distribution(n: int, r: int) -> DistributionTable:
-    """Exact pmf of the r-th ancestor size, read off the z^n slice of G_r.
+def _ancestor_counts(n: int, r: int) -> dict[int, int]:
+    """{m: number of size-n trees whose r-th ancestor has size m}, nonzero m only.
 
-    The slice is exact once G_r is computed to order n, so no other order
-    is ever needed.
+    The coefficient [z^n v^m] of G_r(z,v) = W S(zv, uv), with
+    W = (1+T)/(1+T^{2r+1}) and u = z T^{2r} W, summed over ancestor shapes:
+    an ancestor with b branches at its root and m-b plain nodes comes in
+    [z^{m-1-b}] D_b shapes, D_b = (1-T^2)^{-b}, and each grows back to size
+    n in [z^{n-m+b}] A_b ways, A_b = W u^b.  A_b has valuation b(2r+1), so the
+    sum stops once that passes n-1, the highest degree read, and D_b is
+    only read up to degree n-1-b(2r+1).
     """
+    t = _series.series_T(n - 1)
+    t_pow = t ** (2 * r)
+    w = (1 + t) / (1 + t_pow * t)
+    u = (t_pow * w).shift(1)
+    one_minus_t_sq = 1 - t * t
+    counts = {1: w.coefficient(n - 1)}  # b = 0: the ancestor is the root alone
+    a, d = w, _series.TruncatedSeries.constant(1, n - 1)
+    for b in range(1, (n - 1) // (2 * r + 1) + 1):
+        a, d = a * u, d.truncate(n - 1 - b * (2 * r + 1)) / one_minus_t_sq
+        ac, dc = a.coefficients(), d.coefficients()
+        for m in range(b + 1, n - 2 * r * b + 1):
+            counts[m] = counts.get(m, 0) + dc[m - 1 - b] * ac[n - m + b]
+    return {m: c for m, c in counts.items() if c}
+
+
+def ancestor_distribution(n: int, r: int) -> DistributionTable:
+    """Exact pmf of the r-th ancestor size, summed over ancestor shapes."""
     if n < 1:
         raise ValueError("size must be positive")
     if r < 0:
@@ -288,6 +315,6 @@ def ancestor_distribution(n: int, r: int) -> DistributionTable:
         return DistributionTable(1, "ancestor", r, (1,), (1,))
     if r == 0:
         return DistributionTable(n, "ancestor", 0, (n,), (catalan(n - 2),))
-    slice_n = _series.series_G(r, n).slice_z(n)
-    support = tuple(sorted(slice_n))
-    return DistributionTable(n, "ancestor", r, support, tuple(slice_n[m] for m in support))
+    counts = _ancestor_counts(n, r)
+    support = tuple(sorted(counts))
+    return DistributionTable(n, "ancestor", r, support, tuple(counts[m] for m in support))

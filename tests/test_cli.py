@@ -217,6 +217,12 @@ GOLDEN_PMF_SHA256 = {
         "32459cea098f8331c13c886fa1e2ad7631f4aae1395a422628d48a5b696fd5d7",
     ("ancestor", "--size", "30", "--depth", "2", "--format", "text"):
         "0a26525e815401bf82ffd153316d3e77723024dde09cfa9db2c42aca14e636ae",
+    # recorded while the ancestor pmf was read off the z^n slice of the
+    # bivariate G_r(z,v): pins far past the sizes the census reaches
+    ("ancestor", "--size", "120", "--depth", "1", "--format", "csv"):
+        "23c70ea231a301fd65912afc1d57398b9d3f89ee7f2a21dfe0c96498d565fa1d",
+    ("ancestor", "--size", "200", "--depth", "3", "--format", "csv"):
+        "9e4fc5407376ea6791ffd5cbf1532d01b5d43840a0d8902b5a11c9ebcee8ea51",
 }
 
 

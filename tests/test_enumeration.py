@@ -11,6 +11,7 @@ import scipy.stats
 from catalan_stanley.enumeration import (
     _ancestor_size_from_tokens,
     _draw_bits,
+    _draw_plane_paths,
     _first_tree_size,
     _root_child_sizes,
     _uniform_draws,
@@ -207,6 +208,18 @@ class TestSampleTrees:
             tracemalloc.stop()
         assert [t.size() for t in trees] == [10**4, 10**4]
         assert peak < 32 * 2**20
+
+    def test_path_rotation_memory_is_bounded(self):
+        """180,000 int8 steps; an int64 rotation index over every step
+        peaked at about 3.8 MiB."""
+        tracemalloc.start()
+        try:
+            paths = _draw_plane_paths(np.random.default_rng(0), 4, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.shape == (20000, 8)
+        assert peak < 2 * 2**20
 
 
 class TestSampleReducedSizes:

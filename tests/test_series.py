@@ -11,10 +11,10 @@ from catalan_stanley.series import (
     phi_power,
     series_F_geq,
     series_F_leq,
-    series_G,
     series_S,
     series_T,
 )
+from catalan_stanley.stats import _ancestor_counts
 
 
 def ts(*coeffs, order=None):
@@ -127,18 +127,6 @@ class TestPhi:
         image = phi_apply(BivariateSeries.monomial(1, 1, 6))
         assert image.coefficient(3, 1) == 1
 
-    def test_requires_t_variable(self):
-        with pytest.raises(ValueError):
-            phi_apply(BivariateSeries.monomial(1, 0, 4, var="v"))
-
-    def test_explicit_lower_order_truncates(self):
-        assert phi_apply(series_S(10), order=6) == phi_apply(series_S(6))
-        assert phi_power(series_S(10), 2, order=6) == phi_power(series_S(6), 2)
-
-    def test_cannot_extend_order(self):
-        with pytest.raises(ValueError):
-            phi_apply(series_S(6), order=10)
-
     def test_power_zero_is_identity(self):
         f = series_S(10)
         assert phi_power(f, 0) == f
@@ -232,28 +220,25 @@ class TestSurvivalSeries:
 
 
 class TestAncestorSeries:
+    """[z^n v^m] G_r(z,v), read by `stats._ancestor_counts` as a sum over
+    ancestor shapes of products of univariate coefficients."""
+
     def test_r_zero_diagonal(self):
-        g0 = series_G(0, 8)
-        assert all(i == j for (i, j), _ in g0.items())
-        for n in range(1, 9):
-            assert g0.coefficient(n, n) == count_trees(n)
+        # G_0 = S(zv, zv): with no reduction every tree is its own ancestor
+        for n in range(1, 13):
+            assert _ancestor_counts(n, 0) == {n: count_trees(n)}
 
     def test_first_reduction_slice_at_size_four(self):
-        assert series_G(1, 6).slice_z(4) == {1: 1, 2: 1}
+        assert _ancestor_counts(4, 1) == {1: 1, 2: 1}
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_total_mass(self, n):
-        g1 = series_G(1, 8)
-        assert sum(g1.slice_z(n).values()) == count_trees(n)
+        assert sum(_ancestor_counts(n, 1).values()) == count_trees(n)
 
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_census(self, n, r, census):
-        slice_n = series_G(r, n).slice_z(n)
-        assert {m: int(c) for m, c in slice_n.items()} == dict(census(n).ancestor_sizes[r])
-
-    def test_uses_v_variable(self):
-        assert series_G(1, 5).var == "v"
+        assert _ancestor_counts(n, r) == dict(census(n).ancestor_sizes[r])
 
 
 bivariate_strategy = st.builds(
@@ -302,9 +287,9 @@ class TestBivariateCore:
         with pytest.raises(ValueError):
             series_S(4).substitute_second(BivariateSeries.monomial(0, 1, 4))
 
-    def test_variable_mixing_rejected(self):
+    def test_order_mixing_rejected(self):
         with pytest.raises(ValueError):
-            series_S(4) + series_G(0, 4)
+            series_S(4) + series_S(5)
 
     def test_diagonal_matches_univariate_substitution(self):
         # t -> z leaves only the t^0 row, which is the diagonal
@@ -320,7 +305,6 @@ def test_process_series_have_int_coefficients():
         phi_apply(series_S(12)),
         phi_power(series_S(12), 3),
         series_F_leq(3, 16),
-        series_G(2, 20),
     ]
     values = [c for f in bivariate for _, c in f.items()]
     values += series_F_geq(2, 16).coefficients()

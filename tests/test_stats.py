@@ -238,7 +238,7 @@ class TestAncestorDistribution:
         assert dict(zip(table.support, table.masses)) == {1: 1}
 
     @pytest.mark.parametrize("n", range(2, 13))
-    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_census(self, n, r, census):
         table = ancestor_distribution(n, r)
         total = census(n).count
