@@ -3,10 +3,8 @@ functions, and asymptotic statistics, with brute-force oracles throughout."""
 
 from .asymptotics import (
     AsymptoticEstimate,
-    ConstantSpec,
     age_variance_asym,
     ancestor_variance_asym,
-    constant_c,
     constant_digits,
     expected_age_asym,
     expected_ancestor_asym,

@@ -14,10 +14,11 @@ limit constants are the sums
     c2 = sum (2r-1) h(r) - c0^2,
     c3 = -sum (2r-1) g(r) - 2 c0 c1,
 
-with E D_n = c0 + c1/n + O(n^-2) and V D_n = c2 + c3/n + O(n^-2).  Terms
-decay like poly(r) 4^-r; summation stops when an explicit geometric
-majorant of the tail drops below the requested accuracy, so each constant
-is rigorous to the requested number of digits.
+with E D_n = c0 + c1/n + O(n^-2) and V D_n = c2 + c3/n + O(n^-2).  One
+pass over r sums all four series.  Every term is at most 320 r^4 4^-r, so
+one geometric majorant bounds all four tails, and the pass stops once it
+is below 10^-(digits+7): each of c0..c3 is then within 10^-(digits+5),
+corrections included.  `constant_digits` is the only entry point.
 
 Ancestor sizes: E X_{n,r} and V X_{n,r} expand in powers of n with
 explicit rational (and sqrt(pi)) coefficients; the three resp. four
@@ -26,6 +27,7 @@ printed terms are evaluated here with error tags O(n^-3/2) resp. O(1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +38,8 @@ from .errors import CapacityError
 
 __all__ = [
     "AsymptoticEstimate",
-    "ConstantSpec",
     "survival_leading",
     "survival_correction",
-    "constant_c",
     "constant_digits",
     "prob_age_asym",
     "expected_age_asym",
@@ -60,30 +60,10 @@ MAX_ASYM_DEPTH = 255
 class AsymptoticEstimate:
     value: float
     order_tag: str
-    terms_used: int
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError("estimate must be finite")
-        if self.terms_used < 1:
-            raise ValueError("terms_used must be at least 1")
-
-
-@dataclass(frozen=True, slots=True)
-class ConstantSpec:
-    index: int
-    requested_digits: int
-
-    def __post_init__(self):
-        if self.index not in (0, 1, 2, 3):
-            raise ValueError("index must be 0..3")
-        if self.requested_digits < 1:
-            raise ValueError("requested_digits must be positive")
-        if self.requested_digits > MAX_DIGITS:
-            raise CapacityError(
-                f"at most {MAX_DIGITS} digits supported "
-                f"(requested {self.requested_digits})"
-            )
 
 
 def survival_leading(r: int) -> Fraction:
@@ -107,84 +87,59 @@ def survival_correction(r: int) -> Fraction:
     return Fraction(numerator, (p + 2) ** 4)
 
 
-# tail majorants: |term(r)| <= A * r^p * 4^-r, verified directly in tests;
-# sum_{r>R} r^p 4^-r <= (R+1)^p 4^-(R+1) * sum_k (1+k)^p 4^-k = majorant * S_p
-_MAJORANTS = {
-    0: (lambda r: survival_leading(r), 16, 1),
-    1: (lambda r: survival_correction(r), 160, 3),
-    2: (lambda r: (2 * r - 1) * survival_leading(r), 32, 2),
-    3: (lambda r: (2 * r - 1) * survival_correction(r), 320, 4),
-}
-_GEOMETRIC_SUMS = {
-    1: Fraction(16, 9),
-    2: Fraction(80, 27),
-    3: Fraction(528, 81),
-    4: Fraction(4560, 243),
-}
-
-_constant_cache: dict[tuple[int, int], mpmath.mpf] = {}
+# Every term of the four sums is at most 320 r^4 4^-r (checked in the
+# tests), and sum_{r>R} r^4 4^-r <= (R+1)^4 4^-(R+1) sum_k (1+k)^4 4^-k
+# = (R+1)^4 4^-(R+1) * 4560/243.
+_TAIL_AMPLITUDE = Fraction(320 * 4560, 243)
 
 
-def _sum_with_tail_bound(term, amplitude: int, power: int, digits: int):
-    """Sum term(r) until the geometric tail majorant is below 10^-(digits+5)."""
-    target = mpmath.mpf(10) ** (-(digits + 5))
-    s_p = _GEOMETRIC_SUMS[power]
-    total = mpmath.mpf(0)
+@functools.cache
+def _constants(digits: int) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """c0..c3, each within 10^-(digits+5), from one pass over r.
+
+    The four sums stop together once the shared tail bound is below
+    10^-(digits+7); the c0^2 and c0 c1 corrections then multiply a tail
+    error by less than 100.
+    """
+    target = Fraction(1, 10 ** (digits + 7))
+    # a private context: mpmath.workdps would set the precision of every
+    # thread in the process, and a concurrent caller would then cache
+    # constants summed at its precision
+    ctx = mpmath.MPContext()
+    ctx.dps = digits + 15
+    sums = [ctx.mpf(0)] * 4
     r = 1
-    terms = 0
     while True:
-        value = term(r)
-        total += mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-        terms += 1
-        tail = (
-            mpmath.mpf(amplitude * (r + 1) ** power)
-            * mpmath.mpf(s_p.numerator)
-            / mpmath.mpf(s_p.denominator)
-            / mpmath.mpf(4) ** (r + 1)
-        )
-        if tail < target:
-            return total, terms
+        h = survival_leading(r)
+        g = survival_correction(r)
+        for k, term in enumerate((h, g, (2 * r - 1) * h, (2 * r - 1) * g)):
+            sums[k] += ctx.mpf(term.numerator) / ctx.mpf(term.denominator)
+        if _TAIL_AMPLITUDE * (r + 1) ** 4 / 4 ** (r + 1) < target:
+            break
         r += 1
-
-
-def _constant(index: int, digits: int) -> mpmath.mpf:
-    key = (index, digits)
-    cached = _constant_cache.get(key)
-    if cached is not None:
-        return cached
-    with mpmath.workdps(digits + 15):
-        term, amplitude, power = _MAJORANTS[index]
-        total, _ = _sum_with_tail_bound(term, amplitude, power, digits)
-        if index == 1:
-            value = -total
-        elif index == 0:
-            value = total
-        elif index == 2:
-            c0 = _constant(0, digits + 5)
-            value = total - c0 * c0
-        else:
-            c0 = _constant(0, digits + 5)
-            c1 = _constant(1, digits + 5)
-            value = -total - 2 * c0 * c1
-        result = +value
-    _constant_cache[key] = result
-    return result
-
-
-def constant_c(spec: ConstantSpec) -> mpmath.mpf:
-    """c0..c3 to the requested number of decimal digits."""
-    return _constant(spec.index, spec.requested_digits)
+    h_sum, g_sum, h2_sum, g2_sum = sums
+    c0, c1 = h_sum, -g_sum
+    return (c0, c1, h2_sum - c0 * c0, -g2_sum - 2 * c0 * c1)
 
 
 def constant_digits(index: int, digits: int) -> str:
-    """Decimal string with `digits` significant digits."""
-    value = constant_c(ConstantSpec(index, digits))
-    with mpmath.workdps(digits + 15):
-        return mpmath.nstr(value, digits, strip_zeros=False)
+    """c0..c3 (by `index`) as a decimal string with `digits` significant
+    digits, rigorous to within 10^-(digits+5)."""
+    if index not in (0, 1, 2, 3):
+        raise ValueError("index must be 0..3")
+    if digits < 1:
+        raise ValueError("requested_digits must be positive")
+    if digits > MAX_DIGITS:
+        raise CapacityError(
+            f"at most {MAX_DIGITS} digits supported (requested {digits})"
+        )
+    value = _constants(digits)[index]
+    # printed by the private context it was summed in, at digits + 15
+    return value.context.nstr(value, digits, strip_zeros=False)
 
 
 def _constants_float() -> tuple[float, float, float, float]:
-    return tuple(float(_constant(i, 30)) for i in range(4))
+    return tuple(float(c) for c in _constants(30))
 
 
 def _check_size(n: int) -> None:
@@ -207,21 +162,21 @@ def prob_age_asym(n: int, r: int) -> AsymptoticEstimate:
     _check_depth(r, 1)
     leading = survival_leading(r) - survival_leading(r + 1)
     correction = survival_correction(r) - survival_correction(r + 1)
-    return AsymptoticEstimate(float(leading) - float(correction) / n, "O(n^-2)", 2)
+    return AsymptoticEstimate(float(leading) - float(correction) / n, "O(n^-2)")
 
 
 def expected_age_asym(n: int) -> AsymptoticEstimate:
     """E D_n ~ c0 + c1/n."""
     _check_size(n)
     c0, c1, _, _ = _constants_float()
-    return AsymptoticEstimate(c0 + c1 / n, "O(n^-2)", 2)
+    return AsymptoticEstimate(c0 + c1 / n, "O(n^-2)")
 
 
 def age_variance_asym(n: int) -> AsymptoticEstimate:
     """V D_n ~ c2 + c3/n."""
     _check_size(n)
     _, _, c2, c3 = _constants_float()
-    return AsymptoticEstimate(c2 + c3 / n, "O(n^-2)", 2)
+    return AsymptoticEstimate(c2 + c3 / n, "O(n^-2)")
 
 
 def expected_ancestor_asym(n: int, r: int) -> AsymptoticEstimate:
@@ -233,7 +188,7 @@ def expected_ancestor_asym(n: int, r: int) -> AsymptoticEstimate:
     const = Fraction(2 * p - 2 * r**2 + r - 2, 2 * p)
     inverse = Fraction((2 * r + 1) * (2 * r - 1) * (r - 3) * r, 2 * 4 ** (r + 1))
     value = float(linear) + float(const) + float(inverse) / n
-    return AsymptoticEstimate(value, "O(n^-3/2)", 3)
+    return AsymptoticEstimate(value, "O(n^-3/2)")
 
 
 def ancestor_variance_asym(n: int, r: int) -> AsymptoticEstimate:
@@ -256,4 +211,4 @@ def ancestor_variance_asym(n: int, r: int) -> AsymptoticEstimate:
         + float(linear) * n
         + n12_coeff * math.sqrt(n)
     )
-    return AsymptoticEstimate(value, "O(1)", 4)
+    return AsymptoticEstimate(value, "O(1)")

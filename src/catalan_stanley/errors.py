@@ -35,5 +35,6 @@ class SamplingError(RuntimeError):
 
 
 class CapacityError(ValueError):
-    """Raised when a request exceeds a configured capacity (series order,
-    constant precision)."""
+    """Raised when a request exceeds a configured capacity: constant
+    precision, the size and depth caps of the asymptotic expansions, or any
+    size, count, order or depth cap of a CLI command."""

@@ -328,51 +328,46 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
     )
 
     iter_order = min(order, 12)
-    z_mono = BivariateSeries.monomial(1, 0, iter_order)
-    zt_mono = BivariateSeries.monomial(1, 1, iter_order)
-    s_small = series_S(iter_order)
+    inputs = (
+        ("z", BivariateSeries.monomial(1, 0, iter_order)),
+        ("zt", BivariateSeries.monomial(1, 1, iter_order)),
+        ("S", series_S(iter_order)),
+    )
+    # Phi^r of each input, one application per step
+    iterated = [f for _, f in inputs]
     for r in range(0, min(5, max_r) + 1):
-        for label, f in (("z", z_mono), ("zt", zt_mono), ("S", s_small)):
-            iterated = f
-            for _ in range(r):
-                iterated = phi_apply(iterated)
+        if r:
+            iterated = [phi_apply(f) for f in iterated]
+        for (label, f), f_r in zip(inputs, iterated):
             report.add(
                 f"phi_power_vs_iterated({label},{r})",
                 f"r={r} order={iter_order}",
                 phi_power(f, r),
-                iterated,
+                f_r,
             )
+    stable_r = order // 2 + 1
+    f_leq = [series_F_leq(r, order) for r in range(max(max_r, stable_r) + 1)]
     for r in range(0, max_r + 1):
         report.add(
             f"F_leq_is_phi_power({r})",
             f"r={r} order={order}",
-            series_F_leq(r, order),
+            f_leq[r],
             phi_power(BivariateSeries.monomial(1, 0, order), r),
         )
-    s_diag = series_S(order).diagonal()
-    previous = series_F_leq(0, order).diagonal()
-    monotone = True
-    for r in range(1, order // 2 + 2):
-        current = series_F_leq(r, order).diagonal()
-        if any(
-            current.coefficient(n) < previous.coefficient(n)
-            for n in range(order + 1)
-        ):
-            monotone = False
-        previous = current
-    report.add("F_leq_monotone", f"order={order}", monotone, True)
-    report.add(
-        "F_leq_stabilizes",
-        f"order={order}",
-        series_F_leq(order // 2 + 1, order).diagonal(),
-        s_diag,
+    f_leq_diag = [f.diagonal() for f in f_leq]
+    monotone = all(
+        current.coefficient(n) >= previous.coefficient(n)
+        for previous, current in zip(f_leq_diag, f_leq_diag[1 : stable_r + 1])
+        for n in range(order + 1)
     )
+    report.add("F_leq_monotone", f"order={order}", monotone, True)
+    report.add("F_leq_stabilizes", f"order={order}", f_leq_diag[stable_r], diagonal)
     for r in range(1, max_r + 1):
         report.add(
             f"F_geq_identity({r})",
             f"r={r} order={order}",
             series_F_geq(r, order),
-            s_diag - series_F_leq(r - 1, order).diagonal(),
+            diagonal - f_leq_diag[r - 1],
         )
     # G_0 = S(zv, zv): with no reduction every tree is its own ancestor
     g0_order = min(order, 12)
@@ -410,8 +405,7 @@ def _check_asymptotics_layer(report: VerifyReport) -> None:
         for r in range(1, 200):
             term = (2 * r - 1) * asymptotics.survival_leading(r)
             second_moment += mpmath.mpf(term.numerator) / mpmath.mpf(term.denominator)
-        c0 = asymptotics.constant_c(asymptotics.ConstantSpec(0, 40))
-        c2 = asymptotics.constant_c(asymptotics.ConstantSpec(2, 40))
+        c0, c2 = (mpmath.mpf(asymptotics.constant_digits(i, 40)) for i in (0, 2))
         report.add(
             "c2_consistency",
             "tail<1e-40",
@@ -420,10 +414,7 @@ def _check_asymptotics_layer(report: VerifyReport) -> None:
         )
 
     with mpmath.workdps(50):
-        c0 = asymptotics.constant_c(asymptotics.ConstantSpec(0, 40))
-        c1 = asymptotics.constant_c(asymptotics.ConstantSpec(1, 40))
-        c2 = asymptotics.constant_c(asymptotics.ConstantSpec(2, 40))
-        c3 = asymptotics.constant_c(asymptotics.ConstantSpec(3, 40))
+        c0, c1, c2, c3 = (mpmath.mpf(asymptotics.constant_digits(i, 40)) for i in range(4))
         mean_errors = []
         var_errors = []
         for n in _LADDER:
@@ -475,7 +466,7 @@ def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
     )
 
 
-def _check_sampler_layer(report: VerifyReport) -> None:
+def _check_sampler_layer(report: VerifyReport, censuses: dict[int, _Census]) -> None:
     first = sample_trees(30, 1, 12345)[0]
     second = sample_trees(30, 1, 12345)[0]
     report.add("sampler_deterministic", "size=30 seed=12345", first.serialize(), second.serialize())
@@ -499,11 +490,9 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     token_census_ok = True
     for n in range(2, 11):
         child_sizes = [[c.size() for c in tau.children] for tau in plane_trees(n - 1)]
-        trees = list(enumerate_trees(n))
         for r in (1, 2, 3):
             via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
-            via_reduce = Counter(tree_ops.ancestor(t, r).size() for t in trees)
-            if via_tokens != via_reduce:
+            if via_tokens != censuses[n].ancestor_sizes[r]:
                 token_census_ok = False
     report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)
 
@@ -526,10 +515,12 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     if order < 4:
         raise ValueError("order must be at least 4")
     report = VerifyReport()
-    censuses = {n: _build_census(n, max_r) for n in range(2, max_size + 1)}
+    # the token bijection check reads sizes up to 10 and depths up to 3
+    census_r = max(max_r, 3)
+    censuses = {n: _build_census(n, census_r) for n in range(2, max(max_size, 10) + 1)}
     _check_tree_layer(report, censuses, max_size)
     _check_stats_layer(report, censuses, max_size, max_r)
     _check_series_layer(report, max_r, order)
     _check_asymptotics_layer(report)
-    _check_sampler_layer(report)
+    _check_sampler_layer(report, censuses)
     return report

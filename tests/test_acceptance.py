@@ -14,9 +14,7 @@ import mpmath
 import numpy as np
 
 from catalan_stanley.asymptotics import (
-    ConstantSpec,
     ancestor_variance_asym,
-    constant_c,
     constant_digits,
 )
 from catalan_stanley.enumeration import (
@@ -134,12 +132,12 @@ def test_criterion_5_operators():
 def test_criterion_6_constants():
     """All four constants to >= 30 decimal places in under 5 seconds."""
     start = time.perf_counter()
-    computed = [constant_c(ConstantSpec(i, 40)) for i in range(4)]
+    computed = [constant_digits(i, 40) for i in range(4)]
     elapsed = time.perf_counter() - start
     with mpmath.workdps(60):
-        for i, value in enumerate(computed):
+        for i, digits in enumerate(computed):
             reference = mpmath.mpf(REFERENCE_CONSTANT_DIGITS[i])
-            assert abs(value - reference) < mpmath.mpf(10) ** -30, f"c{i}"
+            assert abs(mpmath.mpf(digits) - reference) < mpmath.mpf(10) ** -30, f"c{i}"
     assert elapsed < 5.0, f"constants took {elapsed:.2f}s"
     assert constant_digits(0, 30) == "2.71825364286795285266483619282"
     report(f"PASS: criterion 6 (constants) 4 constants to 30+ digits, {elapsed:.2f}s")
@@ -152,10 +150,7 @@ def _doubling_ratios(errors):
 def test_criterion_7_age_convergence():
     """Two-term expansions converge at O(1/n^2) on the doubling ladder."""
     with mpmath.workdps(50):
-        c0 = constant_c(ConstantSpec(0, 40))
-        c1 = constant_c(ConstantSpec(1, 40))
-        c2 = constant_c(ConstantSpec(2, 40))
-        c3 = constant_c(ConstantSpec(3, 40))
+        c0, c1, c2, c3 = (mpmath.mpf(constant_digits(i, 40)) for i in range(4))
         mean_errors = []
         variance_errors = []
         for n in LADDER:

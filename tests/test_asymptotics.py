@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -7,10 +8,8 @@ import pytest
 
 from catalan_stanley.asymptotics import (
     AsymptoticEstimate,
-    ConstantSpec,
     age_variance_asym,
     ancestor_variance_asym,
-    constant_c,
     constant_digits,
     expected_age_asym,
     expected_ancestor_asym,
@@ -43,21 +42,32 @@ class TestConstants:
         assert constant_digits(1, 30) == "-4.22209715101588408238218734776"
         assert constant_digits(2, 30) == "0.918456042143747973577971478140"
 
+    def test_all_digit_strings_pinned(self):
+        # sha256 of the 240 strings constant_digits(i, d), i = 0..3 and
+        # d = 1..60, newline-joined; recorded while each constant was summed
+        # in a pass of its own
+        strings = "\n".join(
+            constant_digits(i, d) for i in range(4) for d in range(1, 61)
+        )
+        assert hashlib.sha256(strings.encode()).hexdigest() == (
+            "d65405eaf6a2ee6347e8a5b0d6d1797fca9ca32e713794b94e7a7f49a84292b6"
+        )
+
     def test_runtime_budget(self):
         start = time.perf_counter()
         for index in range(4):
-            constant_c(ConstantSpec(index, 50))
+            constant_digits(index, 50)
         assert time.perf_counter() - start < 5.0
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
-            ConstantSpec(0, 61)
+            constant_digits(0, 61)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ConstantSpec(4, 10)
+            constant_digits(4, 10)
         with pytest.raises(ValueError):
-            ConstantSpec(0, 0)
+            constant_digits(0, 0)
 
     def test_tail_majorants_dominate_terms(self):
         for r in range(1, 301):
@@ -65,6 +75,11 @@ class TestConstants:
             assert abs(survival_correction(r)) <= Fraction(160 * r**3, 4**r)
             assert (2 * r - 1) * survival_leading(r) <= Fraction(32 * r**2, 4**r)
             assert abs((2 * r - 1) * survival_correction(r)) <= Fraction(
+                320 * r**4, 4**r
+            )
+            # the one tail bound the summation of c0..c3 relies on
+            h, g = survival_leading(r), abs(survival_correction(r))
+            assert max(h, g, (2 * r - 1) * h, (2 * r - 1) * g) <= Fraction(
                 320 * r**4, 4**r
             )
 
@@ -75,8 +90,8 @@ class TestConstants:
             for r in range(1, 200):
                 term = (2 * r - 1) * survival_leading(r)
                 second += mpmath.mpf(term.numerator) / mpmath.mpf(term.denominator)
-            c0 = constant_c(ConstantSpec(0, 40))
-            c2 = constant_c(ConstantSpec(2, 40))
+            c0 = mpmath.mpf(constant_digits(0, 40))
+            c2 = mpmath.mpf(constant_digits(2, 40))
             assert abs(second - c0 * c0 - c2) < mpmath.mpf(10) ** -25
 
 
@@ -135,14 +150,13 @@ class TestLimitingPmf:
     def test_estimate_metadata(self):
         estimate = prob_age_asym(100, 3)
         assert estimate.order_tag == "O(n^-2)"
-        assert estimate.terms_used == 2
 
 
 class TestAgeMoments:
     def test_value_is_two_term_expansion(self):
         n = 100
-        c0 = float(constant_c(ConstantSpec(0, 30)))
-        c1 = float(constant_c(ConstantSpec(1, 30)))
+        c0 = float(mpmath.mpf(constant_digits(0, 30)))
+        c1 = float(mpmath.mpf(constant_digits(1, 30)))
         assert expected_age_asym(n).value == pytest.approx(c0 + c1 / n, abs=1e-14)
 
     def test_relative_error_at_800(self):
@@ -191,7 +205,6 @@ class TestAncestorMoments:
     def test_order_tags(self):
         assert expected_ancestor_asym(10, 2).order_tag == "O(n^-3/2)"
         assert ancestor_variance_asym(10, 2).order_tag == "O(1)"
-        assert ancestor_variance_asym(10, 2).terms_used == 4
 
     def test_sqrt_pi_not_hardcoded(self):
         n, r = 10**8, 1
@@ -208,9 +221,7 @@ class TestAncestorMoments:
 class TestEstimateType:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AsymptoticEstimate(float("nan"), "O(1)", 1)
-        with pytest.raises(ValueError):
-            AsymptoticEstimate(1.0, "O(1)", 0)
+            AsymptoticEstimate(float("nan"), "O(1)")
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,15 @@ GOLDEN_PMF_SHA256 = {
         "23c70ea231a301fd65912afc1d57398b9d3f89ee7f2a21dfe0c96498d565fa1d",
     ("ancestor", "--size", "200", "--depth", "3", "--format", "csv"):
         "9e4fc5407376ea6791ffd5cbf1532d01b5d43840a0d8902b5a11c9ebcee8ea51",
+    # recorded while each limit constant was summed in a pass of its own
+    ("age", "--size", "1000", "--asym", "--format", "csv"):
+        "1ec7298f762aad723feb5d807b13eb55966b6acb7d50f0ce93c6a4cee3243e68",
+    ("ancestor", "--size", "1000", "--depth", "2", "--asym", "--format", "csv"):
+        "00b5e7c0b2d874666eb85bdab606253f931d9911bbfddec7f76678bb3a53ad63",
+    ("verify", "--max-size", "5", "--max-r", "2", "--order", "6"):
+        "cc2bf3280db08abe73486d18a42c7405142ba48a7654c97abf3b45ae5e67680c",
+    ("verify", "--max-size", "5", "--max-r", "2", "--order", "6", "--format", "json"):
+        "c9805b41a09c182a54a8e3307347bd960db7b35e13a2e7d5a864773b461567ab",
 }
 
 

@@ -1,8 +1,9 @@
 """Everything is pure values; concurrent callers must see identical results."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from catalan_stanley.asymptotics import ConstantSpec, constant_c
+from catalan_stanley.asymptotics import _constants, constant_digits
 from catalan_stanley.enumeration import enumerate_trees, sample_trees
 from catalan_stanley.series import phi_apply, series_S, series_T
 from catalan_stanley.stats import age_distribution, expected_age
@@ -20,7 +21,7 @@ def _workload(worker: int):
         sorted(t.serialize() for t in enumerate_trees(6)),
         age(tau),
         reduce(tau).serialize(),
-        str(constant_c(ConstantSpec(0, 25))),
+        constant_digits(0, 25),
     )
 
 
@@ -29,3 +30,22 @@ def test_parallel_calls_agree_with_sequential():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(_workload, range(16)))
     assert all(result == sequential for result in results)
+
+
+def test_constants_at_mixed_precisions_in_parallel():
+    # callers at different precisions must not change each other's working
+    # precision, nor leave constants summed at another precision in the cache
+    digits = range(20, 61)
+    sequential = [constant_digits(i, d) for d in digits for i in range(4)]
+    _constants.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rows = pool.map(
+                lambda d: [constant_digits(i, d) for i in range(4)], digits, timeout=120
+            )
+            parallel = [s for row in rows for s in row]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == sequential
