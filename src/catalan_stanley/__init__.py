@@ -52,13 +52,11 @@ from .tree import (
     PlaneTree,
     age,
     ancestor,
-    chain,
     dyck_to_tree,
     has_odd_returns,
     is_catalan_stanley,
     parse_tree,
     reduce,
-    star,
     tree_to_dyck,
 )
 from .verify import Check, VerifyReport, run_verification

@@ -41,9 +41,10 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # and 105 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 3 s.  Its census of sizes up to 14
-# takes about 20 s and each extra size about 4x more; the series layer takes
-# 4 s at order 64 and 25 s at 128; all three caps together take 30 s.  Past
+# `verify` at default scope takes about 1.5 s and at --max-size 14 about 5 s:
+# the census of size 14 alone takes 3 s, and each extra size about 4x more.
+# The series layer takes 1.7 s at order 64 and 10 s at 128; all three caps
+# together take about 6 s (2-vCPU VM, Python 3.11).  Past
 # r = order/2 no tree of the series or of the census has that age, so a
 # larger --max-r only repeats checks.
 MAX_VERIFY_SIZE = 14

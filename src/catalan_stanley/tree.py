@@ -30,8 +30,6 @@ __all__ = [
     "age",
     "ancestor",
     "has_odd_returns",
-    "chain",
-    "star",
 ]
 
 
@@ -112,10 +110,6 @@ class DyckPath:
                 raise MalformedPathError(f"prefix sum drops below 0 at step {i}")
         if height != 0:
             raise MalformedPathError("total sum is nonzero")
-
-    @property
-    def semilength(self) -> int:
-        return len(self.steps) // 2
 
     @classmethod
     def from_string(cls, text: str) -> "DyckPath":
@@ -282,20 +276,3 @@ def ancestor(tau: PlaneTree, r: int) -> PlaneTree:
             break
         tau = reduce(tau)
     return tau
-
-
-def chain(n: int) -> PlaneTree:
-    """Path with n nodes."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    node = PlaneTree()
-    for _ in range(n - 1):
-        node = PlaneTree((node,))
-    return node
-
-
-def star(n: int) -> PlaneTree:
-    """Root with n-1 leaf children."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    return PlaneTree((PlaneTree(),) * (n - 1))

@@ -9,6 +9,7 @@ subcommand maps a failed check to a nonzero exit status.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -120,86 +121,97 @@ class VerifyReport:
         )
 
 
-@dataclass
-class _Census:
-    """Everything the checks need from one exhaustive enumeration pass."""
+# the Dyck round trip is checked, and `bijection_roundtrip` reported, up to this size
+_ROUNDTRIP_MAX_SIZE = 12
 
-    n: int
-    count: int
+
+@dataclass(frozen=True)
+class _Census:
+    """Everything the checks need from one exhaustive enumeration pass.
+
+    `chains` counts reduction chains: for each tree, the sizes after each
+    `reduce`, down to the root.  A chain's length is the tree's age and its
+    r-th entry the r-th ancestor size, so every depth is read from it.
+    `roundtrip_ok` covers sizes up to `_ROUNDTRIP_MAX_SIZE` only.
+    """
+
     all_valid: bool
     roundtrip_ok: bool
-    age_formula: Counter
-    age_iterated: Counter
     age_match: bool
     closure_ok: bool
     contraction_ok: bool
-    ancestor_sizes: dict[int, Counter]
-    ancestor_sum: dict[int, int]
+    age_formula: Counter
+    chains: Counter
+
+    @property
+    def count(self) -> int:
+        return sum(self.chains.values())
+
+    @property
+    def age_iterated(self) -> Counter:
+        ages: Counter = Counter()
+        for chain, k in self.chains.items():
+            ages[len(chain)] += k
+        return ages
+
+    def ancestor_sizes(self, r: int) -> Counter:
+        """Histogram of the r-th ancestor size, r >= 1; past the root it is 1."""
+        sizes: Counter = Counter()
+        for chain, k in self.chains.items():
+            sizes[chain[r - 1] if r <= len(chain) else 1] += k
+        return sizes
+
+    def ancestor_sum(self, r: int) -> int:
+        return sum(m * k for m, k in self.ancestor_sizes(r).items())
 
 
-def _build_census(n: int, max_r: int) -> _Census:
+def _contracts(before: int, after: int) -> bool:
+    """One reduction takes 2 nodes to 1 and removes at least two otherwise."""
+    return after == 1 if before == 2 else after <= before - 2
+
+
+@functools.cache
+def _census(n: int) -> _Census:
+    """The census of all trees of size n >= 2, through `reduce`."""
+    all_valid = roundtrip_ok = age_match = closure_ok = contraction_ok = True
     age_formula: Counter = Counter()
-    age_iterated: Counter = Counter()
-    ancestor_sizes: dict[int, Counter] = {r: Counter() for r in range(1, max_r + 1)}
-    ancestor_sum = {r: 0 for r in range(1, max_r + 1)}
-    count = 0
-    all_valid = True
-    roundtrip_ok = True
-    closure_ok = True
-    contraction_ok = True
-    age_match = True
+    chains: Counter = Counter()
+    # the chain from each distinct first ancestor down, keyed by its
+    # serialization; closure and contraction along it are checked once
+    chain_from: dict[str, tuple[int, ...]] = {}
     for tau in enumerate_trees(n):
-        count += 1
-        if not is_catalan_stanley(tau):
-            all_valid = False
-        if dyck_to_tree(tree_to_dyck(tau)) != tau:
-            roundtrip_ok = False
+        all_valid &= is_catalan_stanley(tau)
+        if n <= _ROUNDTRIP_MAX_SIZE:
+            roundtrip_ok &= dyck_to_tree(tree_to_dyck(tau)) == tau
         by_formula = tree_ops.age(tau)
         age_formula[by_formula] += 1
-        # reduction chain: sizes after each application, down to the root
-        steps = 0
-        current = tau
-        chain_sizes = []
-        while not current.is_leaf:
-            following = tree_ops.reduce(current)
-            if not is_catalan_stanley(following):
-                closure_ok = False
-            before, after = current.size(), following.size()
-            if before >= 3 and after > before - 2:
-                contraction_ok = False
-            if before == 2 and after != 1:
-                contraction_ok = False
-            current = following
-            steps += 1
-            chain_sizes.append(after)
-        age_iterated[steps] += 1
-        if by_formula != steps:
-            age_match = False
-        for r in range(1, max_r + 1):
-            size_r = chain_sizes[r - 1] if r <= len(chain_sizes) else 1
-            ancestor_sizes[r][size_r] += 1
-            ancestor_sum[r] += size_r
+        first = tree_ops.reduce(tau)
+        key = first.serialize()
+        contraction_ok &= _contracts(n, len(key) // 2)
+        if key not in chain_from:
+            closure_ok &= is_catalan_stanley(first)
+            sizes = [len(key) // 2]
+            current = first
+            while not current.is_leaf:
+                current = tree_ops.reduce(current)
+                closure_ok &= is_catalan_stanley(current)
+                sizes.append(current.size())
+                contraction_ok &= _contracts(sizes[-2], sizes[-1])
+            chain_from[key] = tuple(sizes)
+        chain = chain_from[key]
+        chains[chain] += 1
+        age_match &= by_formula == len(chain)
     return _Census(
-        n,
-        count,
-        all_valid,
-        roundtrip_ok,
-        age_formula,
-        age_iterated,
-        age_match,
-        closure_ok,
-        contraction_ok,
-        ancestor_sizes,
-        ancestor_sum,
+        all_valid, roundtrip_ok, age_match, closure_ok, contraction_ok, age_formula, chains
     )
 
 
-def _check_tree_layer(report: VerifyReport, censuses: dict[int, _Census], max_size: int) -> None:
+def _check_tree_layer(report: VerifyReport, max_size: int) -> None:
     for n in range(2, max_size + 1):
-        c = censuses[n]
+        c = _census(n)
         report.add(f"count({n})", f"n={n}", c.count, count_trees(n))
         report.add(f"enumerated_valid({n})", f"n={n}", c.all_valid, True)
-        if n <= 12:
+        if n <= _ROUNDTRIP_MAX_SIZE:
             report.add(f"bijection_roundtrip({n})", f"n={n}", c.roundtrip_ok, True)
         report.add(f"closure({n})", f"n={n}", c.closure_ok, True)
         report.add(f"contraction({n})", f"n={n}", c.contraction_ok, True)
@@ -224,14 +236,12 @@ def _check_tree_layer(report: VerifyReport, censuses: dict[int, _Census], max_si
         report.add(f"parity_correspondence({n})", f"n={n}", flags_ok, True)
 
 
-def _check_stats_layer(
-    report: VerifyReport, censuses: dict[int, _Census], max_size: int, max_r: int
-) -> None:
+def _check_stats_layer(report: VerifyReport, max_size: int, max_r: int) -> None:
     survival_series = {
         r: series_F_geq(r, max_size) for r in range(1, max_r + 1)
     }
     for n in range(2, max_size + 1):
-        c = censuses[n]
+        c = _census(n)
         for r in range(1, max_r + 1):
             brute = sum(v for a, v in c.age_formula.items() if a >= r)
             formula = age_count_geq(n, r)
@@ -270,7 +280,7 @@ def _check_stats_layer(
             brute_pmf,
         )
         for r in range(1, min(3, max_r) + 1):
-            brute_mean_r = Fraction(c.ancestor_sum[r], total)
+            brute_mean_r = Fraction(c.ancestor_sum(r), total)
             report.add(
                 f"ancestor_mean({n},{r})",
                 f"n={n} r={r}",
@@ -279,7 +289,7 @@ def _check_stats_layer(
             )
             dist = ancestor_distribution(n, r)
             brute_sizes = {
-                m: Fraction(v, total) for m, v in sorted(c.ancestor_sizes[r].items())
+                m: Fraction(v, total) for m, v in sorted(c.ancestor_sizes(r).items())
             }
             report.add(
                 f"ancestor_pmf({n},{r})",
@@ -288,7 +298,7 @@ def _check_stats_layer(
                 brute_sizes,
             )
         for r in range(1, max_r + 1):
-            sizes = sorted(c.ancestor_sizes[r])
+            sizes = sorted(c.ancestor_sizes(r))
             upper = n - 2 * (r - 1) - 1
             within = sizes[0] >= 1 and sizes[-1] <= max(upper, 1)
             report.add(
@@ -378,64 +388,55 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
 
 
 def _check_asymptotics_layer(report: VerifyReport) -> None:
+    # a private context: mpmath.workdps would set the precision of every
+    # thread in the process
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
     for i in range(4):
         computed = asymptotics.constant_digits(i, 30)
-        with mpmath.workdps(60):
-            close = bool(
-                abs(mpmath.mpf(computed) - mpmath.mpf(REFERENCE_CONSTANT_DIGITS[i]))
-                < mpmath.mpf(10) ** -28
-            )
+        close = bool(
+            abs(ctx.mpf(computed) - ctx.mpf(REFERENCE_CONSTANT_DIGITS[i])) < ctx.mpf(10) ** -28
+        )
         report.add(f"constant_c{i}_digits", "digits=30", close, True)
 
-    with mpmath.workdps(60):
-        telescoped = mpmath.mpf(0)
-        for r in range(1, 200):
-            h_r = asymptotics.survival_leading(r)
-            h_next = asymptotics.survival_leading(r + 1)
-            telescoped += mpmath.mpf(
-                (h_r - h_next).numerator
-            ) / mpmath.mpf((h_r - h_next).denominator)
-        report.add(
-            "limit_pmf_telescopes",
-            "R=200",
-            bool(abs(telescoped - 1) < mpmath.mpf(10) ** -10),
-            True,
-        )
-        second_moment = mpmath.mpf(0)
-        for r in range(1, 200):
-            term = (2 * r - 1) * asymptotics.survival_leading(r)
-            second_moment += mpmath.mpf(term.numerator) / mpmath.mpf(term.denominator)
-        c0, c2 = (mpmath.mpf(asymptotics.constant_digits(i, 40)) for i in (0, 2))
-        report.add(
-            "c2_consistency",
-            "tail<1e-40",
-            bool(abs((second_moment - c0 * c0) - c2) < mpmath.mpf(10) ** -25),
-            True,
-        )
+    telescoped = ctx.mpf(0)
+    for r in range(1, 200):
+        h_r = asymptotics.survival_leading(r)
+        h_next = asymptotics.survival_leading(r + 1)
+        telescoped += ctx.mpf((h_r - h_next).numerator) / ctx.mpf((h_r - h_next).denominator)
+    report.add(
+        "limit_pmf_telescopes",
+        "R=200",
+        bool(abs(telescoped - 1) < ctx.mpf(10) ** -10),
+        True,
+    )
+    second_moment = ctx.mpf(0)
+    for r in range(1, 200):
+        term = (2 * r - 1) * asymptotics.survival_leading(r)
+        second_moment += ctx.mpf(term.numerator) / ctx.mpf(term.denominator)
+    c0, c2 = (ctx.mpf(asymptotics.constant_digits(i, 40)) for i in (0, 2))
+    report.add(
+        "c2_consistency",
+        "tail<1e-40",
+        bool(abs((second_moment - c0 * c0) - c2) < ctx.mpf(10) ** -25),
+        True,
+    )
 
-    with mpmath.workdps(50):
-        c0, c1, c2, c3 = (mpmath.mpf(asymptotics.constant_digits(i, 40)) for i in range(4))
-        mean_errors = []
-        var_errors = []
-        for n in _LADDER:
-            exact_mean = expected_age(n)
-            exact_var = age_variance(n)
-            mean_errors.append(
-                abs(
-                    mpmath.mpf(exact_mean.numerator) / exact_mean.denominator
-                    - (c0 + c1 / n)
-                )
-            )
-            var_errors.append(
-                abs(
-                    mpmath.mpf(exact_var.numerator) / exact_var.denominator
-                    - (c2 + c3 / n)
-                )
-            )
-        mean_ratios = [
-            float(a / b) for a, b in zip(mean_errors, mean_errors[1:])
-        ]
-        var_ratios = [float(a / b) for a, b in zip(var_errors, var_errors[1:])]
+    ctx.dps = 50
+    c0, c1, c2, c3 = (ctx.mpf(asymptotics.constant_digits(i, 40)) for i in range(4))
+    mean_errors = []
+    var_errors = []
+    for n in _LADDER:
+        exact_mean = expected_age(n)
+        exact_var = age_variance(n)
+        mean_errors.append(
+            abs(ctx.mpf(exact_mean.numerator) / exact_mean.denominator - (c0 + c1 / n))
+        )
+        var_errors.append(
+            abs(ctx.mpf(exact_var.numerator) / exact_var.denominator - (c2 + c3 / n))
+        )
+    mean_ratios = [float(a / b) for a, b in zip(mean_errors, mean_errors[1:])]
+    var_ratios = [float(a / b) for a, b in zip(var_errors, var_errors[1:])]
     report.add(
         "age_mean_convergence",
         f"ladder={_LADDER}",
@@ -460,13 +461,14 @@ def _check_asymptotics_layer(report: VerifyReport) -> None:
 def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
     statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     df = len(observed) - 1
+    # a private context at the default precision, whatever other threads set
+    ctx = mpmath.MPContext()
     return float(
-        mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(statistic) / 2, mpmath.inf,
-                        regularized=True)
+        ctx.gammainc(ctx.mpf(df) / 2, ctx.mpf(statistic) / 2, ctx.inf, regularized=True)
     )
 
 
-def _check_sampler_layer(report: VerifyReport, censuses: dict[int, _Census]) -> None:
+def _check_sampler_layer(report: VerifyReport) -> None:
     first = sample_trees(30, 1, 12345)[0]
     second = sample_trees(30, 1, 12345)[0]
     report.add("sampler_deterministic", "size=30 seed=12345", first.serialize(), second.serialize())
@@ -492,7 +494,7 @@ def _check_sampler_layer(report: VerifyReport, censuses: dict[int, _Census]) -> 
         child_sizes = [[c.size() for c in tau.children] for tau in plane_trees(n - 1)]
         for r in (1, 2, 3):
             via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
-            if via_tokens != censuses[n].ancestor_sizes[r]:
+            if via_tokens != _census(n).ancestor_sizes(r):
                 token_census_ok = False
     report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)
 
@@ -515,12 +517,9 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     if order < 4:
         raise ValueError("order must be at least 4")
     report = VerifyReport()
-    # the token bijection check reads sizes up to 10 and depths up to 3
-    census_r = max(max_r, 3)
-    censuses = {n: _build_census(n, census_r) for n in range(2, max(max_size, 10) + 1)}
-    _check_tree_layer(report, censuses, max_size)
-    _check_stats_layer(report, censuses, max_size, max_r)
+    _check_tree_layer(report, max_size)
+    _check_stats_layer(report, max_size, max_r)
     _check_series_layer(report, max_r, order)
     _check_asymptotics_layer(report)
-    _check_sampler_layer(report, censuses)
+    _check_sampler_layer(report)
     return report

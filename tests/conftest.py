@@ -1,26 +1,18 @@
-"""Shared exhaustive-enumeration fixtures.
+"""Shared exhaustive-enumeration fixture.
 
-One pass over all Catalan-Stanley trees of each size collects everything
-the oracle-style tests need: age histograms (by formula and by iterated
-reduction), ancestor-size histograms for every reduction depth, and the
-structural flags (validity, bijection roundtrip, closure, contraction).
-The pass is the census that `verify` runs, shared through a session cache.
+`census(n)` is the census that `verify` runs over all Catalan-Stanley trees
+of size n: the structural flags (validity, bijection roundtrip up to size
+12, closure, contraction), the age histogram by formula, and a histogram of
+reduction chains that gives the age by iterated reduction and the ancestor
+sizes at every depth.  `verify` caches it per size, so a test session builds
+each size once, and a `verify` run in the same process reuses it.
 """
 
 import pytest
 
-from catalan_stanley.verify import _build_census, _Census
-
-MAX_R = 7
+from catalan_stanley import verify
 
 
 @pytest.fixture(scope="session")
 def census():
-    cache: dict[int, _Census] = {}
-
-    def get(n: int) -> _Census:
-        if n not in cache:
-            cache[n] = _build_census(n, MAX_R)
-        return cache[n]
-
-    return get
+    return verify._census

@@ -99,7 +99,7 @@ def test_criterion_4_ancestor_statistics(census):
     for n in range(2, MAX_SIZE + 1):
         total = census(n).count
         for r in (1, 2, 3):
-            counter = census(n).ancestor_sizes[r]
+            counter = census(n).ancestor_sizes(r)
             brute_mean = Fraction(
                 sum(m * v for m, v in counter.items()), total
             )
@@ -223,7 +223,7 @@ def test_criterion_9_bijection_and_bounds(census):
         assert ages[0] == 1, n
         assert ages[-1] == n // 2, n
         for r in range(1, 8):
-            sizes = sorted(census(n).ancestor_sizes[r])
+            sizes = sorted(census(n).ancestor_sizes(r))
             upper = n - 2 * (r - 1) - 1
             assert sizes[0] == 1, (n, r)
             if r <= n // 2:
@@ -251,8 +251,8 @@ def test_criterion_9_ancestor_upper_bound_attained_as_stated(census):
     for n in range(2, MAX_SIZE + 1):
         for r in range(1, n // 2 + 1):
             upper = n - 2 * (r - 1) - 1
-            if max(census(n).ancestor_sizes[r]) != upper:
-                failures.append((n, r, max(census(n).ancestor_sizes[r]), upper))
+            if max(census(n).ancestor_sizes(r)) != upper:
+                failures.append((n, r, max(census(n).ancestor_sizes(r)), upper))
     if failures:
         report(
             f"FAIL: criterion 9 upper-bound attainment: {len(failures)} (n, r) "

@@ -1,13 +1,17 @@
 """Everything is pure values; concurrent callers must see identical results."""
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+
+import mpmath
 
 from catalan_stanley.asymptotics import _constants, constant_digits
 from catalan_stanley.enumeration import enumerate_trees, sample_trees
 from catalan_stanley.series import phi_apply, series_S, series_T
 from catalan_stanley.stats import age_distribution, expected_age
 from catalan_stanley.tree import age, reduce
+from catalan_stanley.verify import run_verification
 
 
 def _workload(worker: int):
@@ -49,3 +53,28 @@ def test_constants_at_mixed_precisions_in_parallel():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == sequential
+
+
+def test_verify_ignores_precision_set_by_other_threads():
+    # the asymptotics checks and the chi-square p-values must neither read
+    # nor set the process-wide mpmath precision, which any thread may change
+    sequential = run_verification(max_size=5, max_r=2, order=6).to_text()
+    stop = threading.Event()
+
+    def toggle():
+        while not stop.is_set():
+            for dps in (8, 15, 80):
+                mpmath.mp.dps = dps
+
+    dps, interval = mpmath.mp.dps, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    toggler = threading.Thread(target=toggle)
+    toggler.start()
+    try:
+        reports = [run_verification(max_size=5, max_r=2, order=6).to_text() for _ in range(3)]
+    finally:
+        stop.set()
+        toggler.join()
+        sys.setswitchinterval(interval)
+        mpmath.mp.dps = dps
+    assert all(report == sequential for report in reports)

@@ -238,7 +238,7 @@ class TestAncestorSeries:
     @pytest.mark.parametrize("n", range(2, 11))
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_matches_census(self, n, r, census):
-        assert _ancestor_counts(n, r) == dict(census(n).ancestor_sizes[r])
+        assert _ancestor_counts(n, r) == dict(census(n).ancestor_sizes(r))
 
 
 bivariate_strategy = st.builds(

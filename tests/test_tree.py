@@ -13,16 +13,16 @@ from catalan_stanley.tree import (
     PlaneTree,
     age,
     ancestor,
-    chain,
     dyck_to_tree,
     has_odd_returns,
     is_catalan_stanley,
     parse_tree,
     reduce,
-    star,
     tree_to_dyck,
 )
 from catalan_stanley.enumeration import plane_trees
+
+from tree_shapes import chain, star
 
 # re-derived from the bijection figure: a 20-step path with three odd
 # returns and the 11-node tree it folds into
@@ -130,7 +130,7 @@ class TestDyckPath:
         path = DyckPath.from_string("UUDD")
         assert path.steps == (1, 1, -1, -1)
         assert path.to_string() == "UUDD"
-        assert path.semilength == 2
+        assert len(path.steps) // 2 == 2
 
     @pytest.mark.parametrize("steps", [(1,), (1, 1), (-1, 1), (1, -1, -1, 1)])
     def test_invariant_violations(self, steps):
@@ -166,7 +166,7 @@ class TestGloveBijection:
 
     def test_path_size_relation(self):
         path = DyckPath.from_string("UUDUDD")
-        assert dyck_to_tree(path).size() == path.semilength + 1
+        assert dyck_to_tree(path).size() == len(path.steps) // 2 + 1
 
     @given(tree_strategy)
     @settings(max_examples=80)

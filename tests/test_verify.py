@@ -1,8 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from catalan_stanley.verify import _chi_square_pvalue, run_verification
+from catalan_stanley.verify import _census, _chi_square_pvalue, run_verification
+
+# sha256 of `run_verification(14, 5, 16).to_text()`, the `verify --max-size 14`
+# report; a rewrite of the census or of a check must leave it byte-identical
+LARGE_SCOPE_TEXT_SHA256 = "f642153e7d330f9c7ac25527c71e474713a292851cb4078b2dcf3379c928b815"
 
 
 class TestChiSquareHelper:
@@ -40,3 +46,18 @@ class TestFullScope:
         assert any(name.startswith("f(14,5)=") for name in names)
         assert "phi_fixed_point" in names
         assert "constant_c0_digits" in names
+        assert hashlib.sha256(report.to_text().encode()).hexdigest() == LARGE_SCOPE_TEXT_SHA256
+
+
+class TestCensus:
+    def test_depends_on_size_alone(self):
+        run_verification(max_size=6, max_r=2, order=8)
+        misses = _census.cache_info().misses
+        run_verification(max_size=6, max_r=5, order=8)
+        assert _census.cache_info().misses == misses
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_past_the_age_bound_every_ancestor_is_the_root(self, n):
+        census = _census(n)
+        for r in range(n // 2 + 1, n + 2):
+            assert census.ancestor_sizes(r) == {1: census.count}
