@@ -128,7 +128,7 @@ def constant_digits(index: int, digits: int) -> str:
     if index not in (0, 1, 2, 3):
         raise ValueError("index must be 0..3")
     if digits < 1:
-        raise ValueError("requested_digits must be positive")
+        raise ValueError("digits must be positive")
     if digits > MAX_DIGITS:
         raise CapacityError(
             f"at most {MAX_DIGITS} digits supported (requested {digits})"

@@ -23,8 +23,8 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees at about 22 us each: size 16 (C(14), about
-# 2.7 million trees) takes about a minute, size 25 would take days.
+# `enumerate` prints C(n-2) trees at about 6 us each: size 16 (C(14), about
+# 2.7 million trees) takes about 17 s, size 25 would take weeks.
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2 s, and from 7155 on a numerator passes Python's 4300-digit
@@ -36,9 +36,9 @@ MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
-# `sample` draws about 3.5 us per node plus 0.2 ms per tree: one tree of size
-# 10^5 takes 0.35 s and 55 MiB, and the largest request (100 of them) 35 s
-# and 105 MiB.
+# `sample` draws about 0.6 us per node plus 0.25 ms per tree: one tree of size
+# 10^5 takes 0.06 s in a 43 MiB process, and the largest request (100 of them)
+# 7 s and 62 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` at default scope takes about 1.5 s and at --max-size 14 about 5 s:

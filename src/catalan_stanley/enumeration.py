@@ -4,14 +4,17 @@ There is one tree of size 1 and C(n-2) trees of size n >= 2.  A tree's
 serialization is "(" + its Dyck word + ")" with U -> "(" and D -> ")", so
 lexicographic tree order is the U<D lex order of Dyck words, and the
 Catalan-Stanley trees are the words whose returns to the axis all end odd
-descents.  Generation is a depth-first walk over Dyck words in that order,
-pruned to the words that can still be completed; it streams the trees in
-O(size) memory.
+descents.  A tree is held as that word, so both routes below make words,
+not nodes.  Generation is a depth-first walk over Dyck words in that
+order, pruned to the words that can still be completed; it streams the
+trees in O(size) memory.
 
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths
 (balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
 whose returns all end odd descents, which are the uniform Catalan-Stanley
-trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  One tree is `sample_trees(size, 1, seed)[0]`.
+trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  Each kept int8
+row becomes its word by one byte translation.  One tree is
+`sample_trees(size, 1, seed)[0]`.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
 n-1 nodes, so `sample_reduced_sizes` draws those one by one, each as the
@@ -29,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SamplingError
-from .tree import PlaneTree, _steps_to_tree
+from .tree import PlaneTree
 
 __all__ = [
     "catalan",
@@ -62,8 +65,9 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
 
     A depth-first walk: step up while the prefix can still be completed,
     else down; after each word, backtrack to the last up step that can turn
-    into a down step.  A down step closes a node and builds its subtree,
-    shared by every word that extends the prefix.  Memory is O(semilength).
+    into a down step.  The prefix is one list of characters, pushed and
+    popped a step at a time; each word is joined from it once.  Memory is
+    O(semilength).
 
     With odd_returns a step is taken only if the new prefix completes to a
     word whose returns all end odd descents.  Away from the axis the only
@@ -71,45 +75,45 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
     ahead, and those with one up step left at height 1 right after an odd
     descent (up then down twice, or down at once, both return evenly).
     """
-    kids: list[list[PlaneTree]] = [[]]  # children so far of each open node, root first
-    closed: list[list[PlaneTree]] = []  # children of the nodes closed so far
+    word = ["("]  # the root's "(", then one character per step
     runs: list[int] = []  # descent length after each step, 0 after an up step
+    height = 0
 
     def can_step(up: bool) -> bool:
-        height = len(kids) if up else len(kids) - 2
-        ups_left = semilength - (len(runs) + 1 + height) // 2
-        if height < 0 or ups_left < 0:
+        new_height = height + 1 if up else height - 1
+        ups_left = semilength - (len(runs) + 1 + new_height) // 2
+        if new_height < 0 or ups_left < 0:
             return False
         if not odd_returns:
             return True
         run = 0 if up else runs[-1] + 1
-        if height == 0 or ups_left == 0:
-            return (run + height) % 2 == 1
-        return ups_left > 1 or height > 1 or run % 2 == 0
-
-    def step_down() -> None:
-        closed.append(kids.pop())
-        kids[-1].append(PlaneTree(tuple(closed[-1])))
-        runs.append(runs[-1] + 1)
+        if new_height == 0 or ups_left == 0:
+            return (run + new_height) % 2 == 1
+        return ups_left > 1 or new_height > 1 or run % 2 == 0
 
     while True:
         while len(runs) < 2 * semilength:
             if can_step(up=True):
-                kids.append([])
+                word.append("(")
                 runs.append(0)
+                height += 1
             else:
-                step_down()
-        yield PlaneTree(tuple(kids[0]))
+                word.append(")")
+                runs.append(runs[-1] + 1)
+                height -= 1
+        yield PlaneTree._of("".join(word) + ")")
         while True:
             if not runs:
                 return
+            word.pop()
             if runs.pop():
-                kids[-1].pop()
-                kids.append(closed.pop())
+                height += 1
             else:
-                kids.pop()
+                height -= 1
                 if can_step(up=False):
-                    step_down()
+                    word.append(")")
+                    runs.append(runs[-1] + 1)
+                    height -= 1
                     break
 
 
@@ -156,11 +160,15 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> n
 
 def _odd_return_rows(paths: np.ndarray) -> np.ndarray:
     """Mask of the rows whose every maximal descent run ending at height 0
-    has odd length; the run ending at step i has length i - (last up step <= i)."""
-    pos = np.arange(paths.shape[1], dtype=np.int32)
-    last_up = np.maximum.accumulate(np.where(paths == 1, pos, -1), axis=1)
-    at_axis = paths.cumsum(axis=1, dtype=np.int32) == 0
-    return ~(at_axis & ((pos - last_up) % 2 == 0)).any(axis=1)
+    has odd length; the run ending at step i has length i - (last up step <= i).
+    Positions and heights are int16 below 2^15 steps a row."""
+    dtype = np.int16 if paths.shape[1] < 2**15 else np.int32
+    pos = np.arange(paths.shape[1], dtype=dtype)
+    run = np.where(paths == 1, pos, dtype(-1))
+    np.maximum.accumulate(run, axis=1, out=run)
+    np.subtract(pos, run, out=run)
+    at_axis = paths.cumsum(axis=1, dtype=dtype) == 0
+    return ~(at_axis & (run % 2 == 0)).any(axis=1)
 
 
 def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
@@ -214,6 +222,7 @@ def sample_trees(
     if size == 1:
         return [PlaneTree()] * count
     rng = np.random.default_rng(seed)
+    step_chars = bytes.maketrans(b"\x01\xff", b"()")  # int8 +1 / -1 steps as bytes
     round_cap = max(1, 2**21 // (2 * size - 1))
     out: list[PlaneTree] = []
     draws = count * max_rejections
@@ -222,7 +231,10 @@ def sample_trees(
         rows = min(draws_left, count - len(out), round_cap)
         paths = _draw_plane_paths(rng, size - 1, rows)
         draws_left -= rows
-        out.extend(_steps_to_tree(row) for row in paths[_odd_return_rows(paths)].tolist())
+        out.extend(
+            PlaneTree._of("(" + row.tobytes().translate(step_chars).decode() + ")")
+            for row in paths[_odd_return_rows(paths)]
+        )
     if len(out) < count:
         raise SamplingError(
             f"accepted {len(out)} of {count} Catalan-Stanley trees of size {size} "

@@ -11,11 +11,17 @@ rightmost leaf is a child of the root is deleted outright; otherwise all
 subtrees of the rightmost leaf's grandparent are deleted, which shortens
 that branch's rightmost path by two.  The age of a tree is the number of
 reductions needed to reach the single-node tree.
+
+A tree is held as its balanced-parentheses word, and every operation reads
+that word: the tree's Dyck path is the word without the root's pair, and a
+root branch's marked leaf sits at the depth of the run of ``)`` that closes
+the branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import MalformedPathError, NotCatalanStanleyError, TreeParseError
 
@@ -33,65 +39,75 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class PlaneTree:
-    """Immutable rooted ordered tree; a leaf has an empty children tuple.
+    """Immutable rooted ordered tree, held as its balanced-parentheses word.
 
-    Equality and hashing are iterative, so they work on arbitrarily deep trees.
+    The word has one ``()`` pair per node, in preorder, and a node's children
+    are the balanced factors between its parentheses.  Equality, hashing and
+    size are string operations, so they work on arbitrarily deep trees.
     """
 
-    children: tuple["PlaneTree", ...] = ()
+    __slots__ = ("_word",)
+
+    def __init__(self, children: Iterable["PlaneTree"] = ()):
+        self._word = "(" + "".join(c._word for c in children) + ")"
+
+    @classmethod
+    def _of(cls, word: str) -> "PlaneTree":
+        """The tree of a word already known to be balanced with one root."""
+        tau = object.__new__(cls)
+        tau._word = word
+        return tau
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        # matching preorder walks; shared subtrees are equal without a visit
-        left, right = [self], [other]
-        while left:
-            a, b = left.pop(), right.pop()
-            if a is b:
-                continue
-            if len(a.children) != len(b.children):
-                return False
-            left.extend(a.children)
-            right.extend(b.children)
-        return True
+        return self._word == other._word
 
     def __hash__(self) -> int:
-        return hash(self.serialize())
+        return hash(self._word)
 
     def size(self) -> int:
         """Number of nodes."""
-        total = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            total += 1
-            stack.extend(node.children)
-        return total
+        return len(self._word) // 2
 
     def serialize(self) -> str:
         """Balanced-parentheses word; one ``()`` pair per node, preorder."""
-        out = ["("]
-        # (node, next child index); iterative to cope with deep chains
-        stack: list[tuple[PlaneTree, int]] = [(self, 0)]
-        while stack:
-            node, i = stack[-1]
-            if i < len(node.children):
-                stack[-1] = (node, i + 1)
-                out.append("(")
-                stack.append((node.children[i], 0))
-            else:
-                out.append(")")
-                stack.pop()
-        return "".join(out)
+        return self._word
+
+    @property
+    def children(self) -> tuple["PlaneTree", ...]:
+        """Root-child subtrees, left to right: the word split at its returns to the root."""
+        ends = [end for end, _ in _branches(self._word)]
+        return tuple(PlaneTree._of(self._word[a:b]) for a, b in zip([1, *ends], ends))
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return self._word == "()"
 
     def __repr__(self) -> str:
-        return f"PlaneTree({self.serialize()!r})"
+        return f"PlaneTree({self._word!r})"
+
+
+def _branches(word: str) -> list[tuple[int, int]]:
+    """(end, d) for each root branch of a tree's word, left to right.
+
+    The branch is the factor of the word that ends just before index end,
+    and d, the run of ``)`` that brings the height back to 0 there, is the
+    depth of the branch's marked leaf.
+    """
+    out = []
+    height = run = 0
+    for end, ch in enumerate(word[1:-1], 2):
+        if ch == "(":
+            height += 1
+            run = 0
+        else:
+            height -= 1
+            run += 1
+            if not height:
+                out.append((end, run))
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,35 +153,19 @@ def parse_tree(text: str) -> PlaneTree:
         raise TreeParseError("empty input", 0)
     if text[0] != "(":
         raise TreeParseError(f"expected '(', found {text[0]!r}", 0)
-    stack: list[list[PlaneTree]] = []
+    height = 0
     for i, ch in enumerate(text):
         if ch == "(":
-            stack.append([])
+            height += 1
         elif ch == ")":
-            if not stack:
-                raise TreeParseError("unbalanced ')'", i)
-            node = PlaneTree(tuple(stack.pop()))
-            if stack:
-                stack[-1].append(node)
-            elif i != len(text) - 1:
-                raise TreeParseError("trailing input after root closes", i + 1)
-            else:
-                return node
+            height -= 1
+            if height == 0:
+                if i != len(text) - 1:
+                    raise TreeParseError("trailing input after root closes", i + 1)
+                return PlaneTree._of(text)
         else:
             raise TreeParseError(f"unexpected character {ch!r}", i)
     raise TreeParseError("unclosed '('", len(text))
-
-
-def _rightmost_path(branch: PlaneTree) -> list[PlaneTree]:
-    """Nodes from a root branch down to its rightmost leaf (last-child walk).
-
-    The list length equals the depth of the rightmost leaf relative to the
-    whole tree's root (the branch root itself is at depth 1).
-    """
-    path = [branch]
-    while path[-1].children:
-        path.append(path[-1].children[-1])
-    return path
 
 
 def is_catalan_stanley(tau: PlaneTree) -> bool:
@@ -173,41 +173,21 @@ def is_catalan_stanley(tau: PlaneTree) -> bool:
 
     The single-node tree belongs to the class.
     """
-    return all(len(_rightmost_path(b)) % 2 == 1 for b in tau.children)
+    return all(d % 2 for _, d in _branches(tau._word))
+
+
+_STEP = {"(": 1, ")": -1}
+_CHAR = {1: "(", -1: ")"}
 
 
 def tree_to_dyck(tau: PlaneTree) -> DyckPath:
-    """Glove bijection: preorder walk of the edges, +1 down / -1 up."""
-    steps: list[int] = []
-    stack: list[tuple[PlaneTree, int]] = [(tau, 0)]
-    while stack:
-        node, i = stack[-1]
-        if i < len(node.children):
-            stack[-1] = (node, i + 1)
-            steps.append(1)
-            stack.append((node.children[i], 0))
-        else:
-            stack.pop()
-            if stack:
-                steps.append(-1)
-    return DyckPath(tuple(steps))
+    """Glove bijection: the word without the root's pair, ( -> +1 and ) -> -1."""
+    return DyckPath(tuple(map(_STEP.__getitem__, tau._word[1:-1])))
 
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
     """Inverse glove bijection; the result has semilength+1 nodes."""
-    return _steps_to_tree(path.steps)
-
-
-def _steps_to_tree(steps) -> PlaneTree:
-    """`dyck_to_tree` on +1/-1 steps already known to form a Dyck path."""
-    stack: list[list[PlaneTree]] = [[]]
-    for s in steps:
-        if s == 1:
-            stack.append([])
-        else:
-            node = PlaneTree(tuple(stack.pop()))
-            stack[-1].append(node)
-    return PlaneTree(tuple(stack[0]))
+    return PlaneTree._of("(" + "".join(map(_CHAR.__getitem__, path.steps)) + ")")
 
 
 def has_odd_returns(path: DyckPath) -> bool:
@@ -226,11 +206,14 @@ def has_odd_returns(path: DyckPath) -> bool:
     return True
 
 
-def _require_catalan_stanley(tau: PlaneTree) -> None:
-    if not is_catalan_stanley(tau):
+def _require_catalan_stanley(tau: PlaneTree) -> list[tuple[int, int]]:
+    """The root branches of tau (see `_branches`); raises unless tau is Catalan-Stanley."""
+    branches = _branches(tau._word)
+    if not all(d % 2 for _, d in branches):
         raise NotCatalanStanleyError(
             "tree is not Catalan-Stanley (a branch's rightmost leaf has even depth)"
         )
+    return branches
 
 
 def reduce(tau: PlaneTree) -> PlaneTree:
@@ -239,20 +222,22 @@ def reduce(tau: PlaneTree) -> PlaneTree:
     Branches whose marked leaf is a child of the root disappear; in every
     other branch the marked leaf's grandparent loses all its subtrees and
     becomes the new marked leaf.  The single-node tree is a fixed point.
+
+    On the word, a branch closed by d ``)`` keeps its characters up to the
+    grandparent's ``(``, then ``()``, then the d-3 ``)`` above the grandparent.
     """
-    _require_catalan_stanley(tau)
-    new_children = []
-    for branch in tau.children:
-        path = _rightmost_path(branch)
-        depth = len(path)
-        if depth == 1:
-            continue
-        # grandparent of the leaf sits at depth-2; rebuild the spine above it
-        node = PlaneTree()
-        for ancestor_node in reversed(path[: depth - 3]):
-            node = PlaneTree(ancestor_node.children[:-1] + (node,))
-        new_children.append(node)
-    return PlaneTree(tuple(new_children))
+    word = tau._word
+    out, start = ["("], 1
+    for end, d in _require_catalan_stanley(tau):
+        if d > 1:
+            g, unclosed = end - d + 2, 1  # the grandparent's ")", walked back to its "("
+            while unclosed:
+                g -= 1
+                unclosed += 1 if word[g] == ")" else -1
+            out += word[start:g], "()", ")" * (d - 3)
+        start = end
+    out.append(")")
+    return PlaneTree._of("".join(out))
 
 
 def age(tau: PlaneTree) -> int:
@@ -260,10 +245,7 @@ def age(tau: PlaneTree) -> int:
 
     Equals (1 + d)/2 where d is the maximum depth of the marked leaves.
     """
-    _require_catalan_stanley(tau)
-    if tau.is_leaf:
-        return 0
-    return (1 + max(len(_rightmost_path(b)) for b in tau.children)) // 2
+    return (1 + max((d for _, d in _require_catalan_stanley(tau)), default=-1)) // 2
 
 
 def ancestor(tau: PlaneTree, r: int) -> PlaneTree:

@@ -258,6 +258,10 @@ class TestConstants:
         assert code == 2
         assert "60" in err
 
+    def test_zero_precision(self):
+        err = assert_fails_fast("constants", "--precision", "0")
+        assert err == "error: digits must be positive\n"
+
 
 class TestBijection:
     def test_tree_to_path(self):

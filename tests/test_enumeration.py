@@ -13,6 +13,7 @@ from catalan_stanley.enumeration import (
     _draw_bits,
     _draw_plane_paths,
     _first_tree_size,
+    _odd_return_rows,
     _root_child_sizes,
     _uniform_draws,
     catalan,
@@ -24,7 +25,7 @@ from catalan_stanley.enumeration import (
 )
 from catalan_stanley.errors import SamplingError
 from catalan_stanley.stats import ancestor_distribution, max_ancestor_size
-from catalan_stanley.tree import PlaneTree, age, is_catalan_stanley
+from catalan_stanley.tree import DyckPath, PlaneTree, age, has_odd_returns, is_catalan_stanley
 
 from tree_shapes import chain, star
 
@@ -222,6 +223,26 @@ class TestSampleTrees:
             tracemalloc.stop()
         assert paths.shape == (20000, 8)
         assert peak < 2 * 2**20
+
+    def test_odd_return_mask_memory_is_bounded(self):
+        """160,000 int8 steps; int32 positions and heights with a fresh array
+        per step peaked at about 1.98 MiB."""
+        paths = _draw_plane_paths(np.random.default_rng(0), 4, 20000)
+        tracemalloc.start()
+        try:
+            mask = _odd_return_rows(paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.shape == (20000,)
+        assert peak < 1.25 * 2**20
+
+    @pytest.mark.parametrize("semilength,rows", [(4, 2000), (16383, 3), (16384, 3)])
+    def test_odd_return_mask_matches_path_check(self, semilength, rows):
+        """Both position widths: int16 below 2^15 steps a row, int32 from there."""
+        paths = _draw_plane_paths(np.random.default_rng(semilength), semilength, rows)
+        expected = [has_odd_returns(DyckPath(tuple(row))) for row in paths.tolist()]
+        assert _odd_return_rows(paths).tolist() == expected
 
 
 class TestSampleReducedSizes:

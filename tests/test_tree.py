@@ -116,6 +116,15 @@ class TestDeepTrees:
         assert hash(tau) == hash(same)
         assert same in {tau} and shorter not in {tau}
 
+    def test_chain_operations(self):
+        n = 10**4
+        tau = chain(n)
+        assert is_catalan_stanley(tau)
+        assert age(tau) == n // 2
+        assert reduce(tau) == chain(n - 2)
+        assert dyck_to_tree(tree_to_dyck(tau)) == tau
+        assert PlaneTree(tau.children) == tau
+
     @given(deep_tree_strategy())
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_and_hash(self, tau):
@@ -123,6 +132,24 @@ class TestDeepTrees:
         assert copy == tau
         assert hash(copy) == hash(tau)
         assert PlaneTree(tau.children + (PlaneTree(),)) != tau
+
+
+class TestWord:
+    """A tree is its word: the children split it, and the hash is the word's."""
+
+    @given(tree_strategy)
+    @settings(max_examples=80)
+    def test_children_rebuild_the_tree(self, tau):
+        assert PlaneTree(tau.children) == tau
+        assert "".join(c.serialize() for c in tau.children) == tau.serialize()[1:-1]
+
+    @given(tree_strategy)
+    @settings(max_examples=80)
+    def test_hash_is_the_word_hash(self, tau):
+        assert hash(tau) == hash(tau.serialize())
+
+    def test_children_keyword(self):
+        assert PlaneTree(children=(chain(2), PlaneTree())) == parse_tree("((())())")
 
 
 class TestDyckPath:
