@@ -23,8 +23,8 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees at about 6 us each: size 16 (C(14), about
-# 2.7 million trees) takes about 17 s, size 25 would take weeks.
+# `enumerate` prints C(n-2) trees at about 3 us each: size 16 (C(14), about
+# 2.7 million trees) takes 7-8 s, size 25 would take about ten days.
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2 s, and from 7155 on a numerator passes Python's 4300-digit
@@ -41,12 +41,13 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # 7 s and 62 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 1.5 s and at --max-size 14 about 5 s:
-# the census of size 14 alone takes 3 s, and each extra size about 4x more.
-# The series layer takes 1.7 s at order 64 and 10 s at 128; all three caps
-# together take about 6 s (2-vCPU VM, Python 3.11).  Past
-# r = order/2 no tree of the series or of the census has that age, so a
-# larger --max-r only repeats checks.
+# `verify` at default scope takes about 1.8 s and at --max-size 14 8-9 s:
+# the census of size 14 alone takes 4.7 s, and each extra size about 4x
+# more.  The series layer takes 3.3 s at order 64 and 49 s at 128 (--max-r
+# half the order); all three caps together take about 10 s (2-vCPU VM,
+# Python 3.11, measured in a slow hour of it).  Past r = order/2 no tree
+# of the series or of the census has that age, so a larger --max-r only
+# repeats checks.
 MAX_VERIFY_SIZE = 14
 MAX_VERIFY_ORDER = 64
 MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
@@ -166,8 +167,7 @@ def _cmd_enumerate(args, out) -> int:
     if args.format == "json":
         print(json.dumps({"size": args.size, "trees": list(words)}), file=out)
     else:
-        for w in words:
-            print(w, file=out)
+        out.writelines(w + "\n" for w in words)
     return 0
 
 

@@ -128,6 +128,13 @@ class DyckPath:
             raise MalformedPathError("total sum is nonzero")
 
     @classmethod
+    def _of(cls, steps: tuple[int, ...]) -> "DyckPath":
+        """The path of steps already known to form a Dyck path."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
+
+    @classmethod
     def from_string(cls, text: str) -> "DyckPath":
         """Parse a word over {U, D}."""
         steps = []
@@ -176,13 +183,17 @@ def is_catalan_stanley(tau: PlaneTree) -> bool:
     return all(d % 2 for _, d in _branches(tau._word))
 
 
-_STEP = {"(": 1, ")": -1}
+_STEP_BYTES = bytes.maketrans(b"()", b"\x01\xff")  # ( -> +1 and ) -> -1 as signed bytes
 _CHAR = {1: "(", -1: ")"}
 
 
 def tree_to_dyck(tau: PlaneTree) -> DyckPath:
-    """Glove bijection: the word without the root's pair, ( -> +1 and ) -> -1."""
-    return DyckPath(tuple(map(_STEP.__getitem__, tau._word[1:-1])))
+    """Glove bijection: the word without the root's pair, ( -> +1 and ) -> -1.
+
+    A tree's word is balanced, so the path is not checked again.
+    """
+    steps = memoryview(tau._word[1:-1].encode().translate(_STEP_BYTES)).cast("b")
+    return DyckPath._of(tuple(steps))
 
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
@@ -206,13 +217,14 @@ def has_odd_returns(path: DyckPath) -> bool:
     return True
 
 
+_NOT_MEMBER = "tree is not Catalan-Stanley (a branch's rightmost leaf has even depth)"
+
+
 def _require_catalan_stanley(tau: PlaneTree) -> list[tuple[int, int]]:
     """The root branches of tau (see `_branches`); raises unless tau is Catalan-Stanley."""
     branches = _branches(tau._word)
     if not all(d % 2 for _, d in branches):
-        raise NotCatalanStanleyError(
-            "tree is not Catalan-Stanley (a branch's rightmost leaf has even depth)"
-        )
+        raise NotCatalanStanleyError(_NOT_MEMBER)
     return branches
 
 
@@ -225,17 +237,28 @@ def reduce(tau: PlaneTree) -> PlaneTree:
 
     On the word, a branch closed by d ``)`` keeps its characters up to the
     grandparent's ``(``, then ``()``, then the d-3 ``)`` above the grandparent.
+    One forward scan records the last ``(`` at each height, which is where
+    the grandparent opens when its branch closes, and checks membership at
+    each return to the root.
     """
     word = tau._word
+    opens = [0] * (len(word) // 2)  # opens[h]: index of the last "(" that rose to height h
     out, start = ["("], 1
-    for end, d in _require_catalan_stanley(tau):
-        if d > 1:
-            g, unclosed = end - d + 2, 1  # the grandparent's ")", walked back to its "("
-            while unclosed:
-                g -= 1
-                unclosed += 1 if word[g] == ")" else -1
-            out += word[start:g], "()", ")" * (d - 3)
-        start = end
+    height = run = 0
+    for i in range(1, len(word) - 1):
+        if word[i] == "(":
+            height += 1
+            run = 0
+            opens[height] = i
+        else:
+            height -= 1
+            run += 1
+            if not height:
+                if not run % 2:
+                    raise NotCatalanStanleyError(_NOT_MEMBER)
+                if run > 1:
+                    out += word[start : opens[run - 2]], "()", ")" * (run - 3)
+                start = i + 1
     out.append(")")
     return PlaneTree._of("".join(out))
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import sys
 import time
+import tracemalloc
 from io import StringIO
 
 import pytest
@@ -77,6 +79,33 @@ class TestEnumerate:
         assert lines[0] == "(((((())))))"
         assert lines[1] == "((((())())))"
         assert lines[-1] == "(()()()()())"
+
+    @pytest.mark.parametrize(
+        "size,fmt,digest",
+        [
+            (10, "text", "80c5d664146b43bfd42955cfb99af0083977d0e35c6d5401a240d65e98b4b910"),
+            (10, "json", "124c57748ec0299bccf8b32f291543836f108b500173922f841278da9e391c98"),
+            (13, "text", "61da7601fd7438d9a547c5586b1b57627e33cc64a5e582d3372c82a55d61740d"),
+            (13, "json", "6207b554f97b3b87d2c7086a27451f14efb2a587621f7f3ed14278478e521577"),
+        ],
+    )
+    def test_golden_bytes(self, size, fmt, digest):
+        """sha256 of stdout, recorded while each tree was printed on its own."""
+        code, out, _ = invoke("enumerate", "--size", str(size), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_text_streams(self):
+        """The 58,786 lines of size 13 (1.6 MB) are written as they are made."""
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                code = run(["enumerate", "--size", "13"], out=sink, err=StringIO())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_size_cap(self, fmt):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import catalan_stanley.enumeration
 from catalan_stanley.enumeration import (
+    _TAIL,
     _ancestor_size_from_tokens,
     _draw_bits,
     _draw_plane_paths,
+    _dyck_trees,
     _first_tree_size,
     _odd_return_rows,
     _root_child_sizes,
@@ -101,6 +104,46 @@ class TestEnumerate:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             enumerate_trees(0)
+
+
+def _balanced_words(semilength):
+    """Balanced words over {(, )} of the given semilength, in lex order: every
+    word of that length from itertools.product, filtered by its prefix sums."""
+    for steps in itertools.product((1, -1), repeat=2 * semilength):
+        if sum(steps) == 0 and min(itertools.accumulate(steps), default=0) >= 0:
+            yield steps
+
+
+class TestIndependentRoute:
+    """The enumerators against a filter of all words, on both sides of the
+    cut between the walked steps and the looked-up ones."""
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_filtered_product(self, m):
+        assert _TAIL < 2 * 10  # the largest words are walked past the cut
+        paths = [DyckPath(steps) for steps in _balanced_words(m)]
+        words = ["(" + "".join("(" if s == 1 else ")" for s in p.steps) + ")" for p in paths]
+        odd = [w for w, p in zip(words, paths) if has_odd_returns(p)]
+        assert [t.serialize() for t in plane_trees(m + 1)] == words
+        assert [t.serialize() for t in enumerate_trees(m + 1)] == odd
+
+    @pytest.mark.parametrize("tail", [1, 2, 5])
+    def test_cut_does_not_change_the_words(self, tail, monkeypatch):
+        cases = [(m, odd) for m in (8, 9) for odd in (False, True)]
+        expected = [list(_dyck_trees(*case)) for case in cases]
+        monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
+        assert [list(_dyck_trees(*case)) for case in cases] == expected
+
+    def test_memory_does_not_grow_with_size(self):
+        """The walk holds one prefix; the completion table is fixed at import."""
+        tracemalloc.start()
+        try:
+            consumed = sum(1 for _ in itertools.islice(enumerate_trees(60), 2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert consumed == 2000
+        assert peak < 2**20
 
 
 class TestPlaneTrees:

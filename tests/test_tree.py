@@ -20,9 +20,9 @@ from catalan_stanley.tree import (
     reduce,
     tree_to_dyck,
 )
-from catalan_stanley.enumeration import plane_trees
+from catalan_stanley.enumeration import enumerate_trees, plane_trees
 
-from tree_shapes import chain, star
+from tree_shapes import chain, reference_reduce, star
 
 # re-derived from the bijection figure: a 20-step path with three odd
 # returns and the 11-node tree it folds into
@@ -250,6 +250,37 @@ class TestReduce:
 
     def test_star_collapses(self):
         assert reduce(star(6)) == PlaneTree()
+
+
+class TestReduceReference:
+    """`reduce` on the word against the node-level definition of the paper."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_member(self, n):
+        for tau in enumerate_trees(n):
+            assert reduce(tau) == reference_reduce(tau)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_plane_tree(self, n):
+        for tau in plane_trees(n):
+            assert_reduces_like_reference(tau)
+
+    @given(deep_tree_strategy())
+    @settings(max_examples=20, deadline=None)
+    def test_deep_trees(self, tau):
+        assert_reduces_like_reference(tau)
+
+
+def assert_reduces_like_reference(tau):
+    """Members reduce as the reference does; every operation rejects the rest."""
+    try:
+        expected = reference_reduce(tau)
+    except ValueError:
+        for op in (reduce, age, lambda t: ancestor(t, 1)):
+            with pytest.raises(NotCatalanStanleyError, match="rightmost leaf has even depth"):
+                op(tau)
+    else:
+        assert reduce(tau) == expected
 
 
 class TestAge:

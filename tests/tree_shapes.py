@@ -14,3 +14,28 @@ def chain(n: int) -> PlaneTree:
 def star(n: int) -> PlaneTree:
     """Root with n-1 leaf children."""
     return PlaneTree((PlaneTree(),) * (n - 1))
+
+
+def reference_reduce(tau: PlaneTree) -> PlaneTree:
+    """One reduction by the paper's node-level definition, through `children`.
+
+    Every root branch's marked leaf is found by following last children.  A
+    branch whose marked leaf is a child of the root is deleted; otherwise the
+    leaf's grandparent loses all its subtrees, and the branch is rebuilt
+    bottom-up along its rightmost path.  Raises ValueError if a marked leaf
+    sits at even depth.
+    """
+    kept = []
+    for branch in tau.children:
+        path = [branch]  # the branch's rightmost path, depth 1 down to its marked leaf
+        while not path[-1].is_leaf:
+            path.append(path[-1].children[-1])
+        if len(path) % 2 == 0:
+            raise ValueError(f"marked leaf at even depth {len(path)}")
+        if len(path) == 1:
+            continue
+        node = PlaneTree()  # the grandparent, stripped of its subtrees
+        for above in reversed(path[:-3]):
+            node = PlaneTree(above.children[:-1] + (node,))
+        kept.append(node)
+    return PlaneTree(kept)
