@@ -41,11 +41,11 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # 7 s and 62 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 1.8 s and at --max-size 14 8-9 s:
-# the census of size 14 alone takes 4.7 s, and each extra size about 4x
-# more.  The series layer takes 3.3 s at order 64 and 49 s at 128 (--max-r
-# half the order); all three caps together take about 10 s (2-vCPU VM,
-# Python 3.11, measured in a slow hour of it).  Past r = order/2 no tree
+# `verify` at default scope takes about 1.1 s and at --max-size 14 about
+# 5 s: the census of size 14 alone takes most of it, and each extra size
+# about 4x more.  The series layer takes 2.7 s at order 64 and 37 s at 128
+# (--max-r half the order); all three caps together take about 7.5 s
+# (2-vCPU VM, Python 3.11).  Past r = order/2 no tree
 # of the series or of the census has that age, so a larger --max-r only
 # repeats checks.
 MAX_VERIFY_SIZE = 14
@@ -167,7 +167,9 @@ def _cmd_enumerate(args, out) -> int:
     if args.format == "json":
         print(json.dumps({"size": args.size, "trees": list(words)}), file=out)
     else:
-        out.writelines(w + "\n" for w in words)
+        for w in words:
+            out.write(w)
+            out.write("\n")
     return 0
 
 

@@ -10,22 +10,32 @@ ancestor-size pmf needs only univariate series (see
 
 Univariate series hold coefficients 0..N as a dense tuple of Python
 ints.  Every series of the process has integer coefficients, because
-each denominator it divides by (1-t, 1-t-T^2, the denominator of W) has
-constant term 1; division therefore asks for a constant term of +1 or
--1, whose inverse is itself, and any other coefficient type is refused.
+each denominator it divides by (1-T^2, 1+T^{2r-1}) has constant term 1;
+division therefore asks for a constant term of +1 or -1, whose inverse
+is itself, and any other coefficient type is refused.
 
 Bivariate series are truncated to the box {z-degree <= N, t-degree <= N}
-and stored as rows: row j is the univariate z-series multiplying t^j, so
-every bivariate operation is a loop over the univariate kernels.  All
-operations used here (sum, product, division by a unit, substitution of
-a series with positive z-valuation) only ever move coefficients to
-higher degrees, so every stored coefficient is exact.  No floating point
-enters this module.
+and stored as rows: row k is the univariate z-series multiplying t^k.
+Each bivariate series of the process is a geometric series in t, so it
+is built row by row from closed forms in univariate series alone, with
+G_r = (1 - T^{2r})/(1 - T^2) = 1 + T^2 + ... + T^{2r-2}:
+
+    [t^k] S          = z/(1 - T^2)^k for k >= 1, and z at k = 0,
+                       since zt/(1 - t - T^2) = (z/(1-T^2)) t/(1 - t/(1-T^2));
+    [t^k] F_leq(r)   = z G_r^k, since F_leq(r) = z/(1 - t G_r);
+    [t^k] Phi^r(f)   = sum_j binom(k, j) T^{2rj} G_r^{k-j} f_j,
+
+where f_j is row j of f.  The last comes from the closed form
+Phi^r(f) = W f(z, t T^{2r} W) with W = 1/(1 - t G_r), which is
+sum_j f_j T^{2rj} t^j W^{j+1}, and from [t^m] (1 - tb)^{-(j+1)} =
+binom(m + j, j) b^m.  At r = 1 it is Phi itself, with G_1 = 1; at r = 0,
+G_0 = 0 and it is the identity.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 import operator
+from math import comb
 
 from .enumeration import catalan
 
@@ -39,9 +49,6 @@ __all__ = [
     "series_F_leq",
     "series_F_geq",
 ]
-
-
-_UNIT_ERROR = "series division requires a constant term of +1 or -1"
 
 
 class TruncatedSeries:
@@ -78,12 +85,6 @@ class TruncatedSeries:
 
     def coefficients(self) -> tuple[int, ...]:
         return self._coeffs
-
-    def valuation(self) -> int | None:
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        return None
 
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -135,7 +136,7 @@ class TruncatedSeries:
         n = self._aligned(other)
         lead = other._coeffs[0]
         if lead not in (1, -1):
-            raise ValueError(_UNIT_ERROR)
+            raise ValueError("series division requires a constant term of +1 or -1")
         terms = [(i, b) for i, b in enumerate(other._coeffs[1 : n + 1], 1) if b]
         out = []
         for k, acc in enumerate(self._coeffs[: n + 1]):
@@ -196,8 +197,8 @@ class BivariateSeries:
                 raise ValueError(f"negative exponent in monomial ({i}, {j})")
             if i <= order and j <= order:
                 rows.setdefault(j, [0] * (order + 1))[i] = c
-        self._order = order
         top = max(rows, default=-1)
+        self._order = order
         self._rows = self._trimmed(
             [TruncatedSeries(rows.get(j, ()), order) for j in range(top + 1)]
         )
@@ -208,25 +209,17 @@ class BivariateSeries:
             rows.pop()
         return tuple(rows)
 
-    def _with_rows(self, rows: list[TruncatedSeries]) -> "BivariateSeries":
-        """A series of this order; rows must have this order."""
-        out = object.__new__(BivariateSeries)
-        out._order = self._order
-        out._rows = self._trimmed(rows)
-        return out
-
     @classmethod
-    def constant(cls, value, order: int) -> "BivariateSeries":
-        return cls({(0, 0): value}, order)
+    def _of_rows(cls, rows: list[TruncatedSeries], order: int) -> "BivariateSeries":
+        """The series whose t^k row is rows[k]; rows must have order `order`."""
+        out = object.__new__(cls)
+        out._order = order
+        out._rows = cls._trimmed(rows)
+        return out
 
     @classmethod
     def monomial(cls, i: int, j: int, order: int, value=1) -> "BivariateSeries":
         return cls({(i, j): value}, order)
-
-    @classmethod
-    def from_univariate(cls, f: TruncatedSeries, order: int) -> "BivariateSeries":
-        row = f.coefficients()[: order + 1]
-        return cls({(i, 0): c for i, c in enumerate(row)}, order)
 
     @property
     def order(self) -> int:
@@ -246,76 +239,29 @@ class BivariateSeries:
             if row._coeffs[i]
         ]
 
-    def z_valuation(self) -> int | None:
-        vals = (row.valuation() for row in self._rows)
-        return min((v for v in vals if v is not None), default=None)
-
-    def _check_compatible(self, other: "BivariateSeries") -> None:
-        if self._order != other._order:
-            raise ValueError("mixing truncation orders")
-
     def __add__(self, other):
         if not isinstance(other, BivariateSeries):
-            return self + BivariateSeries.constant(other, self._order)
-        self._check_compatible(other)
+            return NotImplemented
+        if self._order != other._order:
+            raise ValueError("mixing truncation orders")
         longer, shorter = sorted((self._rows, other._rows), key=len, reverse=True)
-        return self._with_rows(
-            [a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter) :])
+        return self._of_rows(
+            [a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter) :]),
+            self._order,
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
-        return self._with_rows([-row for row in self._rows])
+        return self._of_rows([-row for row in self._rows], self._order)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if not isinstance(other, BivariateSeries):
-            scalar = operator.index(other)
-            return self._with_rows([row * scalar for row in self._rows])
-        self._check_compatible(other)
-        n = self._order
-        out = [TruncatedSeries([], n)] * (n + 1)
-        for i, a in enumerate(self._rows):
-            for j, b in enumerate(other._rows[: n + 1 - i], i):
-                out[j] = out[j] + a * b
-        return self._with_rows(out)
+        """Product with an integer scalar."""
+        scalar = operator.index(other)
+        return self._of_rows([row * scalar for row in self._rows], self._order)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        den = other._rows
-        if not den or den[0]._coeffs[0] not in (1, -1):
-            raise ValueError(_UNIT_ERROR)
-        zero = TruncatedSeries([], self._order)
-        out: list[TruncatedSeries] = []
-        # row j of the quotient q solves sum_b den_b * q_{j-b} = self_j
-        for j in range(self._order + 1):
-            acc = self._rows[j] if j < len(self._rows) else zero
-            for b in range(1, min(j, len(den) - 1) + 1):
-                acc = acc - den[b] * out[j - b]
-            out.append(acc / den[0])
-        return self._with_rows(out)
-
-    def substitute_second(self, g: "BivariateSeries") -> "BivariateSeries":
-        """Replace t by g(z, t); g needs z-valuation >= 1."""
-        self._check_compatible(g)
-        val = g.z_valuation()
-        if val is not None and val < 1:
-            raise ValueError("substitution requires z-valuation >= 1")
-        # Horner's rule over the rows, highest power of t first
-        result = self._with_rows([])
-        for row in reversed(self._rows):
-            result = result * g + self._with_rows([row])
-        return result
 
     def diagonal(self) -> TruncatedSeries:
         """Set t equal to z."""
@@ -342,65 +288,90 @@ def series_T(order: int) -> TruncatedSeries:
     return TruncatedSeries([0] + [catalan(n - 1) for n in range(1, order + 1)], order)
 
 
+def _powers(base: TruncatedSeries, top: int) -> list[TruncatedSeries]:
+    """base^0, base^1, ..., base^top."""
+    out = [TruncatedSeries.constant(1, base.order)]
+    for _ in range(top):
+        out.append(out[-1] * base)
+    return out
+
+
 def series_S(order: int) -> BivariateSeries:
-    """Catalan-Stanley class series S(z,t) = z + zt/(1 - t - T^2)."""
+    """Catalan-Stanley class series S(z,t) = z + zt/(1 - t - T^2).
+
+    Row k >= 1 is z/(1 - T^2)^k and row 0 is z.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    t_sq = BivariateSeries.from_univariate(series_T(order) ** 2, order)
-    den = (
-        BivariateSeries.constant(1, order)
-        - BivariateSeries.monomial(0, 1, order)
-        - t_sq
-    )
-    return (
-        BivariateSeries.monomial(1, 1, order) / den
-        + BivariateSeries.monomial(1, 0, order)
-    )
+    t = series_T(order)
+    den = 1 - t * t
+    rows = [TruncatedSeries.z(order)]
+    for _ in range(order):
+        rows.append(rows[-1] / den)
+    return BivariateSeries._of_rows(rows, order)
+
+
+def _expand(f: BivariateSeries, a: TruncatedSeries, b: TruncatedSeries) -> BivariateSeries:
+    """The series sum_j f_j (ta)^j / (1 - tb)^{j+1}, built row by row.
+
+    Row k is sum_j binom(k, j) a^j b^{k-j} f_j; the zero rows of f are skipped.
+    """
+    n = f.order
+    scaled = []  # (j, a^j f_j) for the rows that survive the truncation
+    for j, (row, a_pow) in enumerate(zip(f._rows, _powers(a, len(f._rows) - 1))):
+        h = row * a_pow
+        if any(h._coeffs):
+            scaled.append((j, h))
+    b_pow = _powers(b, n)
+    rows = []
+    for k in range(n + 1):
+        acc = TruncatedSeries([], n)
+        for j, h in scaled:
+            if j > k:
+                break
+            acc = acc + h * b_pow[k - j] * comb(k, j)
+        rows.append(acc)
+    return BivariateSeries._of_rows(rows, n)
 
 
 def phi_apply(f: BivariateSeries) -> BivariateSeries:
     """Expansion operator: Phi(f)(z,t) = f(z, tT^2/(1-t)) / (1-t).
 
-    Enumerates all trees reducing into the family counted by f.
+    Enumerates all trees reducing into the family counted by f.  Row k is
+    sum_j binom(k, j) T^{2j} f_j.
     """
     n = f.order
-    one_minus_t = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n)
-    t_sq = BivariateSeries.from_univariate(series_T(n) ** 2, n)
-    g = BivariateSeries.monomial(0, 1, n) * t_sq / one_minus_t
-    return f.substitute_second(g) / one_minus_t
+    t = series_T(n)
+    return _expand(f, t * t, TruncatedSeries.constant(1, n))
 
 
 def phi_power(f: BivariateSeries, r: int) -> BivariateSeries:
     """Closed form of the r-fold expansion.
 
-    Phi^r(f)(z,t) = W * f(z, t T^{2r} W) with
-    W = 1 / (1 - t(1-T^{2r})/(1-T^2)); Phi^0 is the identity (the closed
-    form degenerates to 0/0 there, so r = 0 is special-cased).
+    Phi^r(f)(z,t) = W * f(z, t T^{2r} W) with W = 1 / (1 - t G_r) and
+    G_r = (1-T^{2r})/(1-T^2); row k is sum_j binom(k, j) T^{2rj} G_r^{k-j} f_j.
+    At r = 0, G_0 = 0 and this is the identity.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return f
     n = f.order
     t = series_T(n)
     t_pow = t ** (2 * r)
-    geometric = BivariateSeries.from_univariate((1 - t_pow) / (1 - t * t), n)
-    w_den = BivariateSeries.constant(1, n) - BivariateSeries.monomial(0, 1, n) * geometric
-    inner = BivariateSeries.monomial(0, 1, n) * BivariateSeries.from_univariate(t_pow, n) / w_den
-    return f.substitute_second(inner) / w_den
+    return _expand(f, t_pow, (1 - t_pow) / (1 - t * t))
 
 
 def series_F_leq(r: int, order: int) -> BivariateSeries:
-    """Trees of age <= r: F_r(z,t) = z / (1 - t(1-T^{2r})/(1-T^2))."""
+    """Trees of age <= r: F_r(z,t) = z / (1 - t G_r), G_r = (1-T^{2r})/(1-T^2).
+
+    Row k is z G_r^k.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
     t = series_T(order)
-    geometric = BivariateSeries.from_univariate((1 - t ** (2 * r)) / (1 - t * t), order)
-    den = (
-        BivariateSeries.constant(1, order)
-        - BivariateSeries.monomial(0, 1, order) * geometric
+    geometric = (1 - t ** (2 * r)) / (1 - t * t)
+    return BivariateSeries._of_rows(
+        [g.shift(1) for g in _powers(geometric, order)], order
     )
-    return BivariateSeries.monomial(1, 0, order) / den
 
 
 def series_F_geq(r: int, order: int) -> TruncatedSeries:

@@ -220,14 +220,6 @@ def has_odd_returns(path: DyckPath) -> bool:
 _NOT_MEMBER = "tree is not Catalan-Stanley (a branch's rightmost leaf has even depth)"
 
 
-def _require_catalan_stanley(tau: PlaneTree) -> list[tuple[int, int]]:
-    """The root branches of tau (see `_branches`); raises unless tau is Catalan-Stanley."""
-    branches = _branches(tau._word)
-    if not all(d % 2 for _, d in branches):
-        raise NotCatalanStanleyError(_NOT_MEMBER)
-    return branches
-
-
 def reduce(tau: PlaneTree) -> PlaneTree:
     """One growth step backwards.
 
@@ -266,18 +258,33 @@ def reduce(tau: PlaneTree) -> PlaneTree:
 def age(tau: PlaneTree) -> int:
     """Number of reductions until the single-node tree is reached.
 
-    Equals (1 + d)/2 where d is the maximum depth of the marked leaves.
+    Equals (1 + d)/2 where d is the maximum depth of the marked leaves.  One
+    scan of the word finds d, the longest run of ``)`` that returns to the
+    root, and raises at the first even one.
     """
-    return (1 + max((d for _, d in _require_catalan_stanley(tau)), default=-1)) // 2
+    deepest = height = run = 0
+    for ch in tau._word[1:-1]:
+        if ch == "(":
+            height += 1
+            run = 0
+        else:
+            height -= 1
+            run += 1
+            if not height:
+                if not run % 2:
+                    raise NotCatalanStanleyError(_NOT_MEMBER)
+                if run > deepest:
+                    deepest = run
+    return (1 + deepest) // 2
 
 
 def ancestor(tau: PlaneTree, r: int) -> PlaneTree:
-    """r-fold reduction; ancestor(tau, 0) is tau itself."""
+    """r-fold reduction; ancestor(tau, 0) is tau itself.
+
+    Past its age a tree has reached the single-node tree, a fixed point.
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    _require_catalan_stanley(tau)
-    for _ in range(r):
-        if tau.is_leaf:
-            break
+    for _ in range(min(r, age(tau))):
         tau = reduce(tau)
     return tau

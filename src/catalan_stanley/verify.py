@@ -132,9 +132,12 @@ class _Census:
     `chains` counts reduction chains: for each tree, the sizes after each
     `reduce`, down to the root.  A chain's length is the tree's age and its
     r-th entry the r-th ancestor size, so every depth is read from it.
-    `roundtrip_ok` covers sizes up to `_ROUNDTRIP_MAX_SIZE` only.
+    `count` counts every tree enumerated; a tree outside the class clears
+    `all_valid` and enters no histogram.  `roundtrip_ok` covers sizes up to
+    `_ROUNDTRIP_MAX_SIZE` only.
     """
 
+    count: int
     all_valid: bool
     roundtrip_ok: bool
     age_match: bool
@@ -142,10 +145,6 @@ class _Census:
     contraction_ok: bool
     age_formula: Counter
     chains: Counter
-
-    @property
-    def count(self) -> int:
-        return sum(self.chains.values())
 
     @property
     def age_iterated(self) -> Counter:
@@ -179,30 +178,34 @@ def _census(n: int) -> _Census:
     # the chain from each distinct first ancestor down, keyed by its
     # serialization; closure and contraction along it are checked once
     chain_from: dict[str, tuple[int, ...]] = {}
+    count = 0
     for tau in enumerate_trees(n):
-        all_valid &= is_catalan_stanley(tau)
+        count += 1
         if n <= _ROUNDTRIP_MAX_SIZE:
             roundtrip_ok &= dyck_to_tree(tree_to_dyck(tau)) == tau
+        if not is_catalan_stanley(tau):
+            all_valid = False  # `age` and `reduce` are defined on the class only
+            continue
         by_formula = tree_ops.age(tau)
         age_formula[by_formula] += 1
         first = tree_ops.reduce(tau)
         key = first.serialize()
         contraction_ok &= _contracts(n, len(key) // 2)
         if key not in chain_from:
-            closure_ok &= is_catalan_stanley(first)
             sizes = [len(key) // 2]
             current = first
-            while not current.is_leaf:
+            # a chain that leaves the class stops there: `reduce` is not defined past it
+            while is_catalan_stanley(current) and not current.is_leaf:
                 current = tree_ops.reduce(current)
-                closure_ok &= is_catalan_stanley(current)
                 sizes.append(current.size())
                 contraction_ok &= _contracts(sizes[-2], sizes[-1])
+            closure_ok &= current.is_leaf
             chain_from[key] = tuple(sizes)
         chain = chain_from[key]
         chains[chain] += 1
         age_match &= by_formula == len(chain)
     return _Census(
-        all_valid, roundtrip_ok, age_match, closure_ok, contraction_ok, age_formula, chains
+        count, all_valid, roundtrip_ok, age_match, closure_ok, contraction_ok, age_formula, chains
     )
 
 

@@ -9,6 +9,8 @@ from io import StringIO
 import pytest
 
 import catalan_stanley.enumeration
+import catalan_stanley.tree
+import catalan_stanley.verify
 from catalan_stanley.cli import (
     MAX_AGE_SIZE,
     MAX_ANCESTOR_SIZE,
@@ -20,7 +22,8 @@ from catalan_stanley.cli import (
     MAX_VERIFY_SIZE,
     run,
 )
-from catalan_stanley.verify import run_verification
+from catalan_stanley.tree import parse_tree
+from catalan_stanley.verify import _census, run_verification
 
 
 def invoke(*args):
@@ -349,6 +352,46 @@ class TestVerifyCommand:
         code, out, _ = invoke("verify", "--max-size", "6", "--max-r", "2", "--order", "8")
         assert code == 1
         assert any(line.startswith("FAIL count(5)") for line in out.splitlines())
+
+    @pytest.fixture
+    def fresh_census(self):
+        """Empty `verify`'s census cache around a test that patches what it reads;
+        the session `census` fixture shares that cache."""
+        _census.cache_clear()
+        yield
+        _census.cache_clear()
+
+    def test_non_member_in_stream_is_reported(self, monkeypatch, fresh_census):
+        """A tree outside the class fails checks (exit 1), not the run (exit 2)."""
+        healthy = catalan_stanley.verify.enumerate_trees
+
+        def with_intruder(n):
+            yield from healthy(n)
+            if n == 4:
+                yield parse_tree("(()(()))")  # the second branch's marked leaf has depth 2
+
+        monkeypatch.setattr(catalan_stanley.verify, "enumerate_trees", with_intruder)
+        code, out, err = invoke("verify", "--max-size", "4", "--max-r", "2", "--order", "8")
+        assert (code, err) == (1, "")
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert "enumerated_valid(4)" in failed
+        assert "count(4)" in failed
+        assert not any(name.endswith("(3)") for name in failed)
+
+    def test_reduction_leaving_the_class_is_reported(self, monkeypatch, fresh_census):
+        healthy = catalan_stanley.tree.reduce
+
+        def leaks(tau):
+            if tau.serialize() == "(((())))":
+                return parse_tree("(()(()))")  # outside the class; the chain cannot go on
+            return healthy(tau)
+
+        monkeypatch.setattr(catalan_stanley.tree, "reduce", leaks)
+        code, out, err = invoke("verify", "--max-size", "6", "--max-r", "2", "--order", "8")
+        assert (code, err) == (1, "")
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert "closure(6)" in failed
+        assert "closure(5)" not in failed
 
     @pytest.mark.parametrize(
         "flag,cap",

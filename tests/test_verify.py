@@ -9,6 +9,10 @@ from catalan_stanley.verify import _census, _chi_square_pvalue, run_verification
 # sha256 of `run_verification(14, 5, 16).to_text()`, the `verify --max-size 14`
 # report; a rewrite of the census or of a check must leave it byte-identical
 LARGE_SCOPE_TEXT_SHA256 = "f642153e7d330f9c7ac25527c71e474713a292851cb4078b2dcf3379c928b815"
+# sha256 of `run_verification(4, 32, 64).to_text()`, the series layer at the
+# `--order` and `--max-r` caps, recorded while the bivariate series were still
+# built by a general bivariate product, division and substitution
+ORDER_CAP_TEXT_SHA256 = "83e818907dd12c54563bcb0e1ae86a973e5418d30a716c6560ea38b2f89cd84d"
 
 
 class TestChiSquareHelper:
@@ -47,6 +51,11 @@ class TestFullScope:
         assert "phi_fixed_point" in names
         assert "constant_c0_digits" in names
         assert hashlib.sha256(report.to_text().encode()).hexdigest() == LARGE_SCOPE_TEXT_SHA256
+
+    def test_order_cap_run_is_unchanged(self):
+        report = run_verification(max_size=4, max_r=32, order=64)
+        assert report.ok, [c.to_line() for c in report.checks if not c.passed]
+        assert hashlib.sha256(report.to_text().encode()).hexdigest() == ORDER_CAP_TEXT_SHA256
 
 
 class TestCensus:
