@@ -17,8 +17,12 @@ limit constants are the sums
 with E D_n = c0 + c1/n + O(n^-2) and V D_n = c2 + c3/n + O(n^-2).  One
 pass over r sums all four series.  Every term is at most 320 r^4 4^-r, so
 one geometric majorant bounds all four tails, and the pass stops once it
-is below 10^-(digits+7): each of c0..c3 is then within 10^-(digits+5),
-corrections included.  `constant_digits` is the only entry point.
+is below 10^-(digits+7).  Each term enters the sums in fixed point, as
+the integer floor(term * 10^(digits+15)), so a sum is off by its tail
+plus under one unit of 10^-(digits+15) per term; each of c0..c3 is then
+within 10^-(digits+5), corrections included.  `constant_digits` prints
+the exact rational so obtained, rounded to the requested digits; no
+floating point and no global precision enter the pass.
 
 Ancestor sizes: E X_{n,r} and V X_{n,r} expand in powers of n with
 explicit rational (and sqrt(pi)) coefficients; the three resp. four
@@ -27,12 +31,11 @@ printed terms are evaluated here with error tags O(n^-3/2) resp. O(1).
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .errors import CapacityError
 
@@ -94,30 +97,29 @@ _TAIL_AMPLITUDE = Fraction(320 * 4560, 243)
 
 
 @functools.cache
-def _constants(digits: int) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+def _constants(digits: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """c0..c3, each within 10^-(digits+5), from one pass over r.
 
     The four sums stop together once the shared tail bound is below
-    10^-(digits+7); the c0^2 and c0 c1 corrections then multiply a tail
-    error by less than 100.
+    10^-(digits+7).  A term is added as floor(term * 10^(digits+15)), which
+    loses under one unit of 10^-(digits+15); the pass takes at most 131
+    terms (at 60 digits), so each sum is within 2 * 10^-(digits+7) of its
+    series, and the c0^2 and c0 c1 corrections multiply that by less than
+    100.
     """
+    scale = 10 ** (digits + 15)
     target = Fraction(1, 10 ** (digits + 7))
-    # a private context: mpmath.workdps would set the precision of every
-    # thread in the process, and a concurrent caller would then cache
-    # constants summed at its precision
-    ctx = mpmath.MPContext()
-    ctx.dps = digits + 15
-    sums = [ctx.mpf(0)] * 4
+    sums = [0] * 4
     r = 1
     while True:
         h = survival_leading(r)
         g = survival_correction(r)
         for k, term in enumerate((h, g, (2 * r - 1) * h, (2 * r - 1) * g)):
-            sums[k] += ctx.mpf(term.numerator) / ctx.mpf(term.denominator)
+            sums[k] += term.numerator * scale // term.denominator
         if _TAIL_AMPLITUDE * (r + 1) ** 4 / 4 ** (r + 1) < target:
             break
         r += 1
-    h_sum, g_sum, h2_sum, g2_sum = sums
+    h_sum, g_sum, h2_sum, g2_sum = (Fraction(s, scale) for s in sums)
     c0, c1 = h_sum, -g_sum
     return (c0, c1, h2_sum - c0 * c0, -g2_sum - 2 * c0 * c1)
 
@@ -134,8 +136,10 @@ def constant_digits(index: int, digits: int) -> str:
             f"at most {MAX_DIGITS} digits supported (requested {digits})"
         )
     value = _constants(digits)[index]
-    # printed by the private context it was summed in, at digits + 15
-    return value.context.nstr(value, digits, strip_zeros=False)
+    # a local context, so no thread's decimal precision is read or set
+    rounded = decimal.Context(prec=digits).divide(value.numerator, value.denominator)
+    text = format(rounded, "f")
+    return text if "." in text else text + "."
 
 
 def _constants_float() -> tuple[float, float, float, float]:

@@ -12,7 +12,7 @@ import sys
 
 from . import asymptotics, stats, verify as verify_mod
 from .enumeration import count_trees, enumerate_trees, sample_trees
-from .errors import CapacityError, MalformedPathError, SamplingError, TreeParseError
+from .errors import CapacityError, SamplingError
 from .tree import (
     DyckPath,
     age,
@@ -24,7 +24,7 @@ from .tree import (
 
 USAGE_ERROR = 2
 # `enumerate` prints C(n-2) trees at about 3 us each: size 16 (C(14), about
-# 2.7 million trees) takes 7-8 s, size 25 would take about ten days.
+# 2.7 million trees) takes about 7 s, size 25 would take about ten days.
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2 s, and from 7155 on a numerator passes Python's 4300-digit
@@ -304,13 +304,8 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args, out)
-    except (
-        ValueError,
-        TreeParseError,
-        MalformedPathError,
-        CapacityError,
-        SamplingError,
-    ) as exc:
+    # TreeParseError, MalformedPathError and CapacityError are ValueErrors
+    except (ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=err)
         return USAGE_ERROR
 

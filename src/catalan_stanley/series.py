@@ -271,10 +271,14 @@ class BivariateSeries:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, BivariateSeries) and self.items() == other.items()
+        return (
+            isinstance(other, BivariateSeries)
+            and self._order == other._order
+            and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash(tuple(self.items()))
+        return hash((self._order, self._rows))
 
     def __repr__(self):
         # `verify` prints this repr; the var='t' field keeps its output stable

@@ -4,18 +4,21 @@ Every closed formula in the package has at least one independent route:
 exhaustive enumeration for small sizes, coefficient extraction from the
 series engine, the binomial sums, and the sampler.  This module runs all
 of those comparisons and reports each as a named check; the CLI `verify`
-subcommand maps a failed check to a nonzero exit status.
+subcommand maps a failed check to a nonzero exit status.  The checks of
+the limit constants compare rationals: printed digits are parsed as
+`Fraction`s and the sums over h(r) are taken in fixed point.  The
+sampler checks read their chi-square p-values from the closed form of
+the upper tail for integer df.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from . import asymptotics
 from . import tree as tree_ops
@@ -105,16 +108,7 @@ class VerifyReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "checks": [
-                    {
-                        "name": c.name,
-                        "params": c.params,
-                        "passed": c.passed,
-                        "lhs": c.lhs,
-                        "rhs": c.rhs,
-                    }
-                    for c in self.checks
-                ],
+                "checks": [asdict(c) for c in self.checks],
                 "passed": self.num_passed,
                 "failed": self.num_failed,
             }
@@ -391,53 +385,38 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
 
 
 def _check_asymptotics_layer(report: VerifyReport) -> None:
-    # a private context: mpmath.workdps would set the precision of every
-    # thread in the process
-    ctx = mpmath.MPContext()
-    ctx.dps = 60
     for i in range(4):
         computed = asymptotics.constant_digits(i, 30)
-        close = bool(
-            abs(ctx.mpf(computed) - ctx.mpf(REFERENCE_CONSTANT_DIGITS[i])) < ctx.mpf(10) ** -28
-        )
-        report.add(f"constant_c{i}_digits", "digits=30", close, True)
+        error = abs(Fraction(computed) - Fraction(REFERENCE_CONSTANT_DIGITS[i]))
+        report.add(f"constant_c{i}_digits", "digits=30", error < Fraction(1, 10**28), True)
 
-    telescoped = ctx.mpf(0)
-    for r in range(1, 200):
-        h_r = asymptotics.survival_leading(r)
-        h_next = asymptotics.survival_leading(r + 1)
-        telescoped += ctx.mpf((h_r - h_next).numerator) / ctx.mpf((h_r - h_next).denominator)
+    # h(1..200) in fixed point: floor(h(r) * 10^45), each under one unit low
+    scale = 10**45
+    h_fixed = [
+        h.numerator * scale // h.denominator
+        for h in map(asymptotics.survival_leading, range(1, 201))
+    ]
+    telescoped = sum(a - b for a, b in zip(h_fixed, h_fixed[1:]))
     report.add(
         "limit_pmf_telescopes",
         "R=200",
-        bool(abs(telescoped - 1) < ctx.mpf(10) ** -10),
+        abs(Fraction(telescoped, scale) - 1) < Fraction(1, 10**10),
         True,
     )
-    second_moment = ctx.mpf(0)
-    for r in range(1, 200):
-        term = (2 * r - 1) * asymptotics.survival_leading(r)
-        second_moment += ctx.mpf(term.numerator) / ctx.mpf(term.denominator)
-    c0, c2 = (ctx.mpf(asymptotics.constant_digits(i, 40)) for i in (0, 2))
+    second_moment = Fraction(
+        sum((2 * r - 1) * h for r, h in enumerate(h_fixed[:199], start=1)), scale
+    )
+    c0, c2 = (Fraction(asymptotics.constant_digits(i, 40)) for i in (0, 2))
     report.add(
         "c2_consistency",
         "tail<1e-40",
-        bool(abs((second_moment - c0 * c0) - c2) < ctx.mpf(10) ** -25),
+        abs((second_moment - c0 * c0) - c2) < Fraction(1, 10**25),
         True,
     )
 
-    ctx.dps = 50
-    c0, c1, c2, c3 = (ctx.mpf(asymptotics.constant_digits(i, 40)) for i in range(4))
-    mean_errors = []
-    var_errors = []
-    for n in _LADDER:
-        exact_mean = expected_age(n)
-        exact_var = age_variance(n)
-        mean_errors.append(
-            abs(ctx.mpf(exact_mean.numerator) / exact_mean.denominator - (c0 + c1 / n))
-        )
-        var_errors.append(
-            abs(ctx.mpf(exact_var.numerator) / exact_var.denominator - (c2 + c3 / n))
-        )
+    c0, c1, c2, c3 = (Fraction(asymptotics.constant_digits(i, 40)) for i in range(4))
+    mean_errors = [abs(expected_age(n) - (c0 + c1 / n)) for n in _LADDER]
+    var_errors = [abs(age_variance(n) - (c2 + c3 / n)) for n in _LADDER]
     mean_ratios = [float(a / b) for a, b in zip(mean_errors, mean_errors[1:])]
     var_ratios = [float(a / b) for a, b in zip(var_errors, var_errors[1:])]
     report.add(
@@ -462,13 +441,22 @@ def _check_asymptotics_layer(report: VerifyReport) -> None:
 
 
 def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
+    """Upper tail of the chi-square law at the Pearson statistic, df =
+    categories - 1, from the closed form for integer df: Q(a, x) for a =
+    df/2 starts at erfc(sqrt x) (a = 1/2) or e^-x (a = 1) and steps by
+    Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1)."""
     statistic = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
     df = len(observed) - 1
-    # a private context at the default precision, whatever other threads set
-    ctx = mpmath.MPContext()
-    return float(
-        ctx.gammainc(ctx.mpf(df) / 2, ctx.mpf(statistic) / 2, ctx.inf, regularized=True)
-    )
+    x = statistic / 2
+    if df % 2:
+        a, tail, term = 0.5, math.erfc(math.sqrt(x)), 2 * math.sqrt(x / math.pi) * math.exp(-x)
+    else:
+        a, tail, term = 1, math.exp(-x), x * math.exp(-x)
+    while a < df / 2:
+        tail += term
+        a += 1
+        term *= x / a
+    return tail
 
 
 def _check_sampler_layer(report: VerifyReport) -> None:

@@ -8,7 +8,10 @@ goes unwrapped.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +49,20 @@ def test_reexports_found():
 def test_reexport_in_defining_module_all(name):
     module = importlib.import_module(getattr(catalan_stanley, name).__module__)
     assert name in getattr(module, "__all__", ())
+
+
+def test_library_does_not_import_mpmath():
+    # mpmath is a test oracle only; its process-wide precision must not be
+    # a dependency of any module.  A fresh interpreter keeps this test's
+    # own imports out of sys.modules.
+    imports = "; ".join(f"import {name}" for name in ["catalan_stanley", *MODULES])
+    package_root = os.path.dirname(os.path.dirname(catalan_stanley.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    result = subprocess.run(
+        [sys.executable, "-c", f"{imports}; import sys; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout == "False\n"

@@ -114,6 +114,18 @@ class TestSeriesS:
             series_S(0)
 
 
+class TestBivariateEquality:
+    def test_order_is_part_of_equality(self):
+        # as for TruncatedSeries: sums of the two are refused, so they differ
+        low, high = BivariateSeries.monomial(1, 0, 5), BivariateSeries.monomial(1, 0, 8)
+        with pytest.raises(ValueError):
+            low + high
+        assert low != high
+        assert hash(low) != hash(high)
+        assert low == BivariateSeries.monomial(1, 0, 5)
+        assert hash(low) == hash(BivariateSeries.monomial(1, 0, 5))
+
+
 bivariate_strategy = st.builds(
     lambda entries: BivariateSeries(
         {(i, j): c for (i, j), c in entries.items()}, 5

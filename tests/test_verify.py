@@ -22,6 +22,8 @@ class TestChiSquareHelper:
             [10, 12, 9, 11, 8],
             [100, 90, 110, 95, 105, 100],
             [3, 3, 3],
+            [40, 60],  # df 1: the erfc term alone
+            [12, 9, 15, 8, 11, 10, 7, 13, 14, 6],  # df 9
         ],
     )
     def test_matches_scipy(self, observed):
