@@ -8,6 +8,10 @@ h(r) - g(r)/n + O(r^5 3^-r n^-2) with the exact rationals
             + 24*4^r (2r-1) r^2) / (4^r + 2)^4,
 
 so P(D_n = r) telescopes to (h(r)-h(r+1)) - (g(r)-g(r+1))/n + ...  The
+error term is checked with constant 1: `verify` asserts n^2 |P(D_n >= r)
+- h(r) + g(r)/n| <= r^5 3^-r in exact rationals at n = 100, 200, 400, 800
+for r up to its --max-r (the largest ratio is 0.57, at n = 100, r = 3;
+the error is 0 at r = 1 and 1/C(n-2) at r = 2).  The
 limit constants are the sums
 
     c0 = sum h(r),             c1 = -sum g(r),

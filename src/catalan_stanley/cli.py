@@ -41,15 +41,15 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # 7 s and 62 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 1.1 s and at --max-size 14 about
+# `verify` at default scope takes about 1 s and at --max-size 14 about
 # 5 s: the census of size 14 alone takes most of it, and each extra size
-# about 4x more.  The series layer takes 2.7 s at order 64 and 37 s at 128
-# (--max-r half the order); all three caps together take about 7.5 s
-# (2-vCPU VM, Python 3.11).  Past r = order/2 no tree
-# of the series or of the census has that age, so a larger --max-r only
-# repeats checks.
+# about 4x more.  The series layer (--max-r half the order) takes 1.2 s at
+# order 64, 2.7 s at 80 and 12 s at 128; all three caps together take
+# about 7 s (2-vCPU VM, Python 3.11).  Past r = order/2 no tree of the
+# series or of the census has that age, so a larger --max-r only repeats
+# checks.
 MAX_VERIFY_SIZE = 14
-MAX_VERIFY_ORDER = 64
+MAX_VERIFY_ORDER = 80
 MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
 
 

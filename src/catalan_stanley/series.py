@@ -22,7 +22,7 @@ G_r = (1 - T^{2r})/(1 - T^2) = 1 + T^2 + ... + T^{2r-2}:
 
     [t^k] S          = z/(1 - T^2)^k for k >= 1, and z at k = 0,
                        since zt/(1 - t - T^2) = (z/(1-T^2)) t/(1 - t/(1-T^2));
-    [t^k] F_leq(r)   = z G_r^k, since F_leq(r) = z/(1 - t G_r);
+    [t^k] F_leq(r)   = z G_r^k, since F_leq(r) = Phi^r(z) = z/(1 - t G_r);
     [t^k] Phi^r(f)   = sum_j binom(k, j) T^{2rj} G_r^{k-j} f_j,
 
 where f_j is row j of f.  The last comes from the closed form
@@ -365,17 +365,10 @@ def phi_power(f: BivariateSeries, r: int) -> BivariateSeries:
 
 
 def series_F_leq(r: int, order: int) -> BivariateSeries:
-    """Trees of age <= r: F_r(z,t) = z / (1 - t G_r), G_r = (1-T^{2r})/(1-T^2).
-
-    Row k is z G_r^k.
-    """
+    """Trees of age <= r: F_r = Phi^r(z) = z / (1 - t G_r); row k is z G_r^k."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    t = series_T(order)
-    geometric = (1 - t ** (2 * r)) / (1 - t * t)
-    return BivariateSeries._of_rows(
-        [g.shift(1) for g in _powers(geometric, order)], order
-    )
+    return phi_power(BivariateSeries.monomial(1, 0, order), r)
 
 
 def series_F_geq(r: int, order: int) -> TruncatedSeries:

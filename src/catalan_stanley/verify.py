@@ -6,9 +6,10 @@ series engine, the binomial sums, and the sampler.  This module runs all
 of those comparisons and reports each as a named check; the CLI `verify`
 subcommand maps a failed check to a nonzero exit status.  The checks of
 the limit constants compare rationals: printed digits are parsed as
-`Fraction`s and the sums over h(r) are taken in fixed point.  The
-sampler checks read their chi-square p-values from the closed form of
-the upper tail for integer df.
+`Fraction`s and the second-moment sum over h(r) is taken in fixed point,
+and the survival expansion h(r) - g(r)/n is held to its error term
+against exact counts.  The sampler checks read their chi-square p-values
+from the closed form of the upper tail for integer df.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .series import (
 )
 from .stats import (
     _ancestor_counts,
+    _survival_counts,
     age_count_geq,
     age_distribution,
     ancestor_distribution,
@@ -218,11 +220,11 @@ def _check_tree_layer(report: VerifyReport, max_size: int) -> None:
             (c.age_match, sorted(c.age_formula.items())),
             (True, sorted(c.age_iterated.items())),
         )
-        ages = sorted(c.age_formula)
+        ages = c.age_formula  # empty if the stream held no tree of the class
         report.add(
             f"age_bounds({n})",
             f"n={n}",
-            (ages[0], ages[-1]),
+            (min(ages, default=None), max(ages, default=None)),
             (1, n // 2),
         )
     for n in range(1, min(10, max_size) + 1):
@@ -250,6 +252,8 @@ def _check_stats_layer(report: VerifyReport, max_size: int, max_r: int) -> None:
                 survival_series[r].coefficient(n),
             )
         total = c.count
+        if not total:
+            continue  # no tree to average over; count(n) and f(n, r) fail already
         brute_mean = Fraction(sum(a * v for a, v in c.age_formula.items()), total)
         table = age_distribution(n)
         report.add(
@@ -295,13 +299,14 @@ def _check_stats_layer(report: VerifyReport, max_size: int, max_r: int) -> None:
                 brute_sizes,
             )
         for r in range(1, max_r + 1):
-            sizes = sorted(c.ancestor_sizes(r))
+            sizes = c.ancestor_sizes(r)
+            low, high = min(sizes, default=None), max(sizes, default=None)
             upper = n - 2 * (r - 1) - 1
-            within = sizes[0] >= 1 and sizes[-1] <= max(upper, 1)
+            within = bool(sizes) and low >= 1 and high <= max(upper, 1)
             report.add(
                 f"ancestor_bounds({n},{r})",
                 f"n={n} r={r}",
-                (within, sizes[0], sizes[-1]),
+                (within, low, high),
                 (True, 1, max_ancestor_size(n, r)),
             )
     for n in _LADDER:
@@ -354,13 +359,19 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
             )
     stable_r = order // 2 + 1
     f_leq = [series_F_leq(r, order) for r in range(max(max_r, stable_r) + 1)]
-    for r in range(0, max_r + 1):
-        report.add(
-            f"F_leq_is_phi_power({r})",
-            f"r={r} order={order}",
-            f_leq[r],
-            phi_power(BivariateSeries.monomial(1, 0, order), r),
-        )
+    # [z^(n-k) t^k] of F_leq(a) and of S count the size-n trees with k root branches
+    # and age <= a, and all of them; as a (k, age) histogram, ages past max_r at max_r + 1
+    for n in range(1, min(10, order) + 1):
+        by_series = {}
+        for k in range(n + 1):
+            at_most = [0] + [f.coefficient(n - k, k) for f in (*f_leq[: max_r + 1], s)]
+            for a, (lo, hi) in enumerate(zip(at_most, at_most[1:])):
+                if hi != lo:
+                    by_series[k, a] = hi - lo
+        by_trees = Counter((len(tau.children), min(tree_ops.age(tau), max_r + 1))
+                           for tau in enumerate_trees(n) if is_catalan_stanley(tau))
+        report.add(f"branch_age_counts({n})", f"n={n} r<={max_r} order={order}",
+                   by_series, dict(sorted(by_trees.items())))
     f_leq_diag = [f.diagonal() for f in f_leq]
     monotone = all(
         current.coefficient(n) >= previous.coefficient(n)
@@ -384,28 +395,27 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
     report.add("G0_is_diagonal", f"order={g0_order}", diag_ok, True)
 
 
-def _check_asymptotics_layer(report: VerifyReport) -> None:
+def _check_asymptotics_layer(report: VerifyReport, max_r: int) -> None:
     for i in range(4):
         computed = asymptotics.constant_digits(i, 30)
         error = abs(Fraction(computed) - Fraction(REFERENCE_CONSTANT_DIGITS[i]))
         report.add(f"constant_c{i}_digits", "digits=30", error < Fraction(1, 10**28), True)
 
-    # h(1..200) in fixed point: floor(h(r) * 10^45), each under one unit low
+    # f(n,r)/C(n-2) = h(r) - g(r)/n + O(r^5 3^-r n^-2) with constant 1; f is 0 past n/2
+    worst = max(
+        n * n * 3**r / r**5 * abs(Fraction(f, count_trees(n)) - asymptotics.survival_leading(r)
+                                  + asymptotics.survival_correction(r) / n)
+        for n in _LADDER for r, f in zip(range(1, max_r + 1), _survival_counts(n) + [0] * max_r)
+    )
+    report.add("survival_expansion", f"ladder={_LADDER} r<={max_r}", f"{float(worst):.4f}",
+               "<=1", worst <= 1)
+
+    # sum (2r-1) h(r) for r < 200 in fixed point: floor(h(r) * 10^45), each under one unit low
     scale = 10**45
-    h_fixed = [
-        h.numerator * scale // h.denominator
-        for h in map(asymptotics.survival_leading, range(1, 201))
-    ]
-    telescoped = sum(a - b for a, b in zip(h_fixed, h_fixed[1:]))
-    report.add(
-        "limit_pmf_telescopes",
-        "R=200",
-        abs(Fraction(telescoped, scale) - 1) < Fraction(1, 10**10),
-        True,
-    )
-    second_moment = Fraction(
-        sum((2 * r - 1) * h for r, h in enumerate(h_fixed[:199], start=1)), scale
-    )
+    second_moment = Fraction(sum(
+        (2 * r - 1) * (h.numerator * scale // h.denominator)
+        for r, h in enumerate(map(asymptotics.survival_leading, range(1, 200)), start=1)
+    ), scale)
     c0, c2 = (Fraction(asymptotics.constant_digits(i, 40)) for i in (0, 2))
     report.add(
         "c2_consistency",
@@ -511,6 +521,6 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     _check_tree_layer(report, max_size)
     _check_stats_layer(report, max_size, max_r)
     _check_series_layer(report, max_r, order)
-    _check_asymptotics_layer(report)
+    _check_asymptotics_layer(report, max_r)
     _check_sampler_layer(report)
     return report

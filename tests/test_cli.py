@@ -261,9 +261,9 @@ GOLDEN_PMF_SHA256 = {
     ("ancestor", "--size", "1000", "--depth", "2", "--asym", "--format", "csv"):
         "00b5e7c0b2d874666eb85bdab606253f931d9911bbfddec7f76678bb3a53ad63",
     ("verify", "--max-size", "5", "--max-r", "2", "--order", "6"):
-        "cc2bf3280db08abe73486d18a42c7405142ba48a7654c97abf3b45ae5e67680c",
+        "ce3c768c0b28fe11e7499336df17843c4bd41356f5360d9010e4f25ec1038cda",
     ("verify", "--max-size", "5", "--max-r", "2", "--order", "6", "--format", "json"):
-        "c9805b41a09c182a54a8e3307347bd960db7b35e13a2e7d5a864773b461567ab",
+        "01aca66c2152518ee166deb2ebfbed72ed2e3a98319e5a9be8c0297f9f4f8b32",
 }
 
 
@@ -377,6 +377,24 @@ class TestVerifyCommand:
         assert "enumerated_valid(4)" in failed
         assert "count(4)" in failed
         assert not any(name.endswith("(3)") for name in failed)
+
+    @pytest.mark.parametrize("stream", [(), ("((()))",)], ids=["empty", "no_member"])
+    def test_size_without_members_is_reported(self, monkeypatch, fresh_census, stream):
+        """A size whose stream holds no tree of the class, and so leaves the age
+        and ancestor histograms empty, fails checks (exit 1), not the run (exit 2)."""
+        healthy = catalan_stanley.verify.enumerate_trees
+
+        def patched(n):
+            if n == 4:
+                return iter(map(parse_tree, stream))
+            return healthy(n)
+
+        monkeypatch.setattr(catalan_stanley.verify, "enumerate_trees", patched)
+        code, out, err = invoke("verify", "--max-size", "6", "--max-r", "2", "--order", "8")
+        assert (code, err) == (1, "")
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert {"count(4)", "age_bounds(4)", "branch_age_counts(4)"} <= set(failed)
+        assert not any(name.endswith(("(3)", "(5)")) for name in failed)
 
     def test_reduction_leaving_the_class_is_reported(self, monkeypatch, fresh_census):
         healthy = catalan_stanley.tree.reduce

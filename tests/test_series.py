@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 
-from catalan_stanley.enumeration import catalan, count_trees
+from catalan_stanley.enumeration import catalan, count_trees, enumerate_trees
 from catalan_stanley.series import (
     BivariateSeries,
     TruncatedSeries,
@@ -15,6 +16,7 @@ from catalan_stanley.series import (
     series_T,
 )
 from catalan_stanley.stats import _ancestor_counts
+from catalan_stanley.tree import age
 
 
 def ts(*coeffs, order=None):
@@ -199,11 +201,20 @@ class TestSurvivalSeries:
         diagonal = series_F_leq(1, 8).diagonal()
         assert diagonal.coefficients() == (0,) + (1,) * 8
 
-    def test_equals_phi_power_of_single_node(self):
-        for r in range(5):
-            assert series_F_leq(r, 10) == phi_power(
-                BivariateSeries.monomial(1, 0, 10), r
-            )
+    def test_coefficients_count_trees_by_branches_and_age(self):
+        """[z^(n-k) t^k] S counts the size-n trees with k root branches, and
+        [z^(n-k) t^k] F_leq(r) those of them of age <= r."""
+        order = 12
+        s = series_S(order)
+        f_leq = [series_F_leq(r, order) for r in range(6)]
+        for n in range(1, order + 1):
+            shapes = Counter((len(tau.children), age(tau)) for tau in enumerate_trees(n))
+            for k in range(n + 1):
+                with_k = {a: v for (b, a), v in shapes.items() if b == k}
+                assert s.coefficient(n - k, k) == sum(with_k.values())
+                for r, f in enumerate(f_leq):
+                    at_most_r = sum(v for a, v in with_k.items() if a <= r)
+                    assert f.coefficient(n - k, k) == at_most_r
 
     def test_stabilizes_at_full_count(self):
         order = 12

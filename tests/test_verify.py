@@ -1,18 +1,22 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from catalan_stanley import asymptotics, series, verify
+from catalan_stanley.cli import MAX_VERIFY_ORDER, MAX_VERIFY_R
 from catalan_stanley.verify import _census, _chi_square_pvalue, run_verification
 
 # sha256 of `run_verification(14, 5, 16).to_text()`, the `verify --max-size 14`
 # report; a rewrite of the census or of a check must leave it byte-identical
-LARGE_SCOPE_TEXT_SHA256 = "f642153e7d330f9c7ac25527c71e474713a292851cb4078b2dcf3379c928b815"
-# sha256 of `run_verification(4, 32, 64).to_text()`, the series layer at the
-# `--order` and `--max-r` caps, recorded while the bivariate series were still
-# built by a general bivariate product, division and substitution
-ORDER_CAP_TEXT_SHA256 = "83e818907dd12c54563bcb0e1ae86a973e5418d30a716c6560ea38b2f89cd84d"
+LARGE_SCOPE_TEXT_SHA256 = "87bb38c3e0f626506b80b01278153b5ceb8f1b1315bd063a24b67cd4ce6d4eee"
+# sha256 of `run_verification(4, 40, 80).to_text()`, the series layer at the
+# `--order` and `--max-r` caps; recorded when F_leq(r) became Phi^r(z), with
+# every line but the replaced checks equal to the report of the separately
+# built F_leq(r)
+ORDER_CAP_TEXT_SHA256 = "e1391347d24cc0ad72940ef00229dceb408a7806359b538008dc5a6988e9bdf8"
 
 
 class TestChiSquareHelper:
@@ -55,7 +59,7 @@ class TestFullScope:
         assert hashlib.sha256(report.to_text().encode()).hexdigest() == LARGE_SCOPE_TEXT_SHA256
 
     def test_order_cap_run_is_unchanged(self):
-        report = run_verification(max_size=4, max_r=32, order=64)
+        report = run_verification(max_size=4, max_r=MAX_VERIFY_R, order=MAX_VERIFY_ORDER)
         assert report.ok, [c.to_line() for c in report.checks if not c.passed]
         assert hashlib.sha256(report.to_text().encode()).hexdigest() == ORDER_CAP_TEXT_SHA256
 
@@ -72,3 +76,39 @@ class TestCensus:
         census = _census(n)
         for r in range(n // 2 + 1, n + 2):
             assert census.ancestor_sizes(r) == {1: census.count}
+
+
+def _failed(report) -> list[str]:
+    return [c.name for c in report.checks if not c.passed]
+
+
+class TestMutations:
+    """A wrong formula that two routes would share fails against trees or exact counts."""
+
+    def test_wrong_geometric_factor_fails_the_tree_counts(self, monkeypatch):
+        def shifted_phi_power(f, r):
+            # G_{r+1} = (1 - T^{2r+2})/(1 - T^2) where Phi^r has G_r
+            t = series.series_T(f.order)
+            return series._expand(f, t ** (2 * r), (1 - t ** (2 * r + 2)) / (1 - t * t))
+
+        # series_F_leq and verify's own phi_power both see the wrong G_r
+        monkeypatch.setattr(series, "phi_power", shifted_phi_power)
+        monkeypatch.setattr(verify, "phi_power", shifted_phi_power)
+        failed = _failed(run_verification(6, 3, 8))
+        assert "branch_age_counts(2)" in failed
+
+    @pytest.fixture
+    def fresh_constants(self):
+        asymptotics._constants.cache_clear()
+        yield
+        asymptotics._constants.cache_clear()
+
+    def test_perturbed_survival_limit_fails_the_expansion(self, monkeypatch, fresh_constants):
+        healthy = asymptotics.survival_leading
+
+        def perturbed(r):
+            return healthy(r) + (Fraction(1, 1000) if r == 3 else 0)
+
+        monkeypatch.setattr(asymptotics, "survival_leading", perturbed)
+        failed = _failed(run_verification(4, 5, 8))
+        assert "survival_expansion" in failed
