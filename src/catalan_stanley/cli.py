@@ -36,9 +36,9 @@ MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
-# `sample` draws about 0.6 us per node plus 0.25 ms per tree: one tree of size
-# 10^5 takes 0.06 s in a 43 MiB process, and the largest request (100 of them)
-# 7 s and 62 MiB.
+# `sample` draws about 0.45 us per node plus 0.35 ms per tree: one tree of
+# size 10^5 takes about 0.03 s (median over 12 seeds), and the largest
+# request (100 of them) 4.4 s and 59 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` at default scope takes about 1 s and at --max-size 14 about

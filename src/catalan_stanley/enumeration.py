@@ -21,14 +21,17 @@ row becomes its word by one byte translation.  One tree is
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
 n-1 nodes, so `sample_reduced_sizes` draws those one by one, each as the
 first tree of a uniform plane forest, by an exact fixed-point inverse-CDF
-walk from both ends of its support: O(sqrt(n)) integer steps per tree
-(about 0.065 ms at n = 10^4, 0.2 ms at 10^5 and 0.6 ms at 10^6), and
-every size comes out with its exact probability up to a relative 2^-46.
+walk from both ends of its support.  Every row's first child comes from
+the same forest, so a call keeps that walk's running sums in one table
+and reads them by bisection.  A row costs O(sqrt(n)) integer steps (about
+0.025 ms at n = 10^4, 0.15 ms at 10^5 and 0.3-0.7 ms at 10^6), and every
+size comes out with its exact probability up to a relative 2^-46.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Iterator
 
 import numpy as np
@@ -188,11 +191,11 @@ def _odd_return_rows(paths: np.ndarray) -> np.ndarray:
     Positions and heights are int16 below 2^15 steps a row."""
     dtype = np.int16 if paths.shape[1] < 2**15 else np.int32
     pos = np.arange(paths.shape[1], dtype=dtype)
-    run = np.where(paths == 1, pos, dtype(-1))
+    run = pos * (paths == 1)  # a path opens with an up step, so 0 is never past the last one
     np.maximum.accumulate(run, axis=1, out=run)
     np.subtract(pos, run, out=run)
     at_axis = paths.cumsum(axis=1, dtype=dtype) == 0
-    return ~(at_axis & (run % 2 == 0)).any(axis=1)
+    return ~(at_axis & ((run & 1) == 0)).any(axis=1)
 
 
 def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
@@ -215,7 +218,7 @@ def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
             branches.append(current)
             current = []
         else:
-            current.append(int(s))
+            current.append(s)
     branches.append(current)  # the root closes the last branch
     total = 1
     for pairs in branches:
@@ -232,8 +235,9 @@ def sample_trees(
     Accepted paths are kept in draw order; at most count * max_rejections
     paths are drawn.  A round draws at most 2^21 steps (one path, if a
     path is longer) and never more paths than trees are still needed, so
-    memory stays bounded at every size.  The rows of a round are shuffled one after another from the same
-    stream, so the trees do not depend on how the draws split into rounds.
+    memory stays bounded at every size.  The rows of a round are shuffled
+    one after another from the same stream, so the trees do not depend on
+    how the draws split into rounds.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -288,7 +292,14 @@ def _uniform_draws(rng: np.random.Generator, bits: int) -> Iterator[int]:
             yield int.from_bytes(block[start : start + width], "little")
 
 
-def _first_tree_size(forest: int, draw: int, bits: int) -> int:
+# Entries of a `_first_tree_size` table: a draw needs min(j, forest+1-j) of
+# them, which passes k with probability about 1/sqrt(pi k), so a table left
+# uncapped reaches the middle after about sqrt(forest) rows.  2^14 entries
+# of at most a few hundred bits stay near 1 MiB and cover forests up to 32767.
+_TABLE_CAP = 2**14
+
+
+def _first_tree_size(forest: int, draw: int, bits: int, sums: list[int] | None = None) -> int:
     """Size j of the first tree of a uniform plane forest on `forest` nodes.
 
     The law is p(j) = C(j-1) C(forest-j) / C(forest) for j = 1..forest.  It
@@ -299,23 +310,54 @@ def _first_tree_size(forest: int, draw: int, bits: int) -> int:
     p(j+1)/p(j) = (4j-2)(forest-j+1) / ((j+1)(4(forest-j)-2)), each product
     rounded down.  The draws left over by the rounding go to the middle size
     (when forest is even, to the middle on the side the walk started from),
-    so every draw ends in range.  With `draw` uniform in [0, 2**bits) and bits at least
-    `_draw_bits(forest)`, every j comes out with probability p(j) up to a
-    relative 2**-46.
+    so every draw ends in range.  With `draw` uniform in [0, 2**bits) and
+    bits at least `_draw_bits(forest)`, every j comes out with probability
+    p(j) up to a relative 2**-46.
+
+    `sums`, if given, is a table of the walk's running sums S_1 <= S_2 <= ...
+    of the floored masses for this forest and width, shared by the calls
+    that draw from the same forest; it is read first and extended only as
+    far as this draw needs, to at most min((forest+1)//2, _TABLE_CAP)
+    entries.  The walk passes S_i exactly when rest >= S_i, and the masses
+    are nonnegative, so its j is min(1 + #{i : S_i <= rest}, middle): one
+    bisection whenever the table holds an S_i above rest or reaches the
+    middle, and otherwise the walk resumes from the table's last entry.
     """
     rest = draw >> 1
-    mass = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
     middle = (forest + 1) // 2
-    j = 1
-    while j < middle and rest >= mass:
-        rest -= mass
+    if sums:
+        j = bisect_right(sums, rest) + 1
+        if j <= len(sums) or j >= middle:
+            j = min(j, middle)
+            return forest + 1 - j if draw & 1 else j
+        j = len(sums)
+        total = sums[-1]
+        mass = total - sums[-2] if j > 1 else total
+    else:
+        j = 1
+        mass = total = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
+        if sums is not None:
+            sums.append(total)
+    while j < middle and rest >= total:
         mass = mass * ((4 * j - 2) * (forest - j + 1)) // ((j + 1) * (4 * (forest - j) - 2))
+        total += mass
         j += 1
+        if sums is not None and j <= _TABLE_CAP:
+            sums.append(total)
     return forest + 1 - j if draw & 1 else j
 
 
-def _root_child_sizes(forest: int, draws: Iterator[int], bits: int) -> Iterator[int]:
-    """Root-child subtree sizes, in order, of a uniform plane tree on forest+1 nodes."""
+def _root_child_sizes(
+    forest: int, draws: Iterator[int], bits: int, first_sums: list[int] | None = None
+) -> Iterator[int]:
+    """Root-child subtree sizes, in order, of a uniform plane tree on forest+1
+    nodes, forest >= 1.
+
+    `first_sums` is the `_first_tree_size` table of `forest`, for the first
+    child only; every later child is drawn by the plain walk."""
+    size = _first_tree_size(forest, next(draws), bits, first_sums)
+    yield size
+    forest -= size
     while forest:
         size = _first_tree_size(forest, next(draws), bits)
         yield size
@@ -329,9 +371,11 @@ def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np
     _ancestor_size_from_tokens), so every draw is accepted and no tree is
     materialized.  The bijection reads only the root-child subtree sizes,
     and those are drawn directly, one child after another, as the first
-    tree of the forest of nodes not yet placed (`_first_tree_size`).  A row
-    costs O(sqrt(size)) integer steps: about 0.065 ms at size 10^4, 0.2 ms
-    at 10^5 and 0.6 ms at 10^6 on a 2-vCPU VM.  Each child size is drawn
+    tree of the forest of nodes not yet placed (`_first_tree_size`); the
+    first child's walk reads one running-sum table shared by all rows.  A
+    row costs O(sqrt(size)) integer steps: about 0.025 ms at size 10^4,
+    0.15 ms at 10^5 and 0.3-0.7 ms at 10^6 (depending on the seed) on a
+    2-vCPU VM.  Each child size is drawn
     from its exact conditional law up to a relative 2^-46 per value, from
     fixed-point integers and uniform random bytes; no floating point is
     involved.
@@ -349,9 +393,10 @@ def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np
     forest = size - 2  # root children of a plane tree on size-1 nodes
     bits = _draw_bits(forest)
     draws = _uniform_draws(np.random.default_rng(seed), bits)
+    first_sums: list[int] = []  # every row's first child is drawn from `forest`
     return np.fromiter(
         (
-            _ancestor_size_from_tokens(_root_child_sizes(forest, draws, bits), r)
+            _ancestor_size_from_tokens(_root_child_sizes(forest, draws, bits, first_sums), r)
             for _ in range(count)
         ),
         dtype=np.int64,

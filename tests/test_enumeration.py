@@ -33,6 +33,9 @@ from catalan_stanley.tree import DyckPath, PlaneTree, age, has_odd_returns, is_c
 from tree_shapes import chain, star
 
 
+PIN_SEEDS = (0, 7, 2**63 + 5, 2**64 - 1)
+
+
 class TestCatalan:
     @pytest.mark.parametrize("n,value", [(0, 1), (1, 1), (2, 2), (3, 5), (10, 16796)])
     def test_values(self, n, value):
@@ -239,6 +242,20 @@ class TestSampleTrees:
         words = "\n".join(t.serialize() for t in sample_trees(*args))
         assert hashlib.sha256(words.encode()).hexdigest() == digest
 
+    def test_pinned_draws_across_sizes(self):
+        """sha256 over the trees of every (size, count, seed) below, count 1
+        and more; recorded before the first-child table and the bit-op mask."""
+        digest = hashlib.sha256()
+        for size, count in {2: 20, 5: 200, 18: 100, 1000: 20, 2000: 10}.items():
+            for seed in PIN_SEEDS:
+                for c in (1, count):
+                    digest.update(repr((size, c, seed)).encode())
+                    words = "\n".join(t.serialize() for t in sample_trees(size, c, seed))
+                    digest.update(words.encode())
+        assert digest.hexdigest() == (
+            "5831765ad6288668dfcc8606a77f8b78c2b233d5a861a8cfe78fb0d2b57bfcde"
+        )
+
     def test_pinned_budget_error(self):
         with pytest.raises(SamplingError, match="accepted 2 of 4 .* size 12 in 12 draws"):
             sample_trees(12, 4, 5, max_rejections=3)
@@ -299,6 +316,19 @@ class TestSampleReducedSizes:
             for tau in plane_trees(n - 1)
         )
         assert via_tokens == census(n).ancestor_sizes(r)
+
+    def test_pinned_draws(self):
+        """sha256 over the draws of every (size, count, seed, r) below;
+        recorded before the first-child table."""
+        digest = hashlib.sha256()
+        for n, count in {3: 50, 9: 2000, 50: 500, 10**4: 100, 10**5: 20}.items():
+            for r in (1, 2, 3):
+                for seed in PIN_SEEDS:
+                    digest.update(repr((n, count, seed, r)).encode())
+                    digest.update(sample_reduced_sizes(n, count, seed, r).tobytes())
+        assert digest.hexdigest() == (
+            "055f3a5e636d17482bbe4658d19eabd7639c0305cec444da07fb64a4988e7e71"
+        )
 
     def test_r_zero_returns_size(self):
         assert list(sample_reduced_sizes(9, 4, seed=1, r=0)) == [9, 9, 9, 9]
@@ -386,3 +416,101 @@ class TestSampleReducedSizes:
         draws = sample_reduced_sizes(10**6, 20, seed=0, r=r)
         assert draws.dtype == np.int64 and len(draws) == 20
         assert 1 <= draws.min() and draws.max() <= max_ancestor_size(10**6, r)
+
+
+def _walk_oracle(forest, draw, bits):
+    """The first-tree walk written out plainly: subtract floored masses from
+    the low end until the next one does not fit or the middle is reached."""
+    rest, j, middle = draw >> 1, 1, (forest + 1) // 2
+    mass = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
+    while j < middle and rest >= mass:
+        rest -= mass
+        mass = mass * ((4 * j - 2) * (forest - j + 1)) // ((j + 1) * (4 * (forest - j) - 2))
+        j += 1
+    return forest + 1 - j if draw & 1 else j
+
+
+def _oracle_sums(forest, bits):
+    """Running sums S_1..S_middle of the walk's floored masses."""
+    middle = (forest + 1) // 2
+    mass = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
+    sums = [mass]
+    for j in range(1, middle):
+        mass = mass * ((4 * j - 2) * (forest - j + 1)) // ((j + 1) * (4 * (forest - j) - 2))
+        sums.append(sums[-1] + mass)
+    return sums
+
+
+class TestFirstChildTable:
+    """`_first_tree_size` with a running-sum table gives the plain walk's size."""
+
+    @staticmethod
+    def _check_against_walk(forest, cap):
+        """Draws with rest at S_j - 1 and S_j, and past the middle, from both
+        ends, into no table, one shared table, and partly built ones."""
+        bits = _draw_bits(forest)
+        middle = (forest + 1) // 2
+        full = _oracle_sums(forest, bits)
+        steps = range(1, middle + 1) if forest <= 80 else [*range(1, 40), 777, middle - 1, middle]
+        rests = {0, (1 << (bits - 1)) - 1, full[-1], full[-1] + 1}
+        for j in steps:
+            rests |= {full[j - 1] - 1, full[j - 1]}
+        draws = [2 * rest + end for rest in sorted(rests) for end in (0, 1)]
+        expected = [_walk_oracle(forest, d, bits) for d in draws]
+        assert [_first_tree_size(forest, d, bits) for d in draws] == expected
+        shared: list[int] = []
+        assert [_first_tree_size(forest, d, bits, shared) for d in draws] == expected
+        # the last draws pass the middle, so the table is as long as it gets
+        assert shared == full[: len(shared)]
+        assert min(middle - 1, cap) <= len(shared) <= min(middle, cap)
+        pairs = list(zip(draws, expected))
+        for partial in [k for k in steps if k <= cap][:: 1 if forest <= 80 else 7]:
+            for d, size in pairs[:: 3 if forest <= 80 else 5] + pairs[-4:]:
+                table = full[:partial]
+                assert _first_tree_size(forest, d, bits, table) == size
+                assert table == full[: len(table)] and len(table) <= min(middle, cap)
+
+    @pytest.mark.parametrize("forest", [*range(1, 81), 10**4])
+    def test_table_matches_walk(self, forest):
+        self._check_against_walk(forest, catalan_stanley.enumeration._TABLE_CAP)
+
+    @pytest.mark.parametrize("forest", [1, 9, 10, 80, 10**4])
+    def test_capped_table_matches_walk(self, forest, monkeypatch):
+        monkeypatch.setattr(catalan_stanley.enumeration, "_TABLE_CAP", 5)
+        self._check_against_walk(forest, 5)
+
+    def test_one_table_a_call_within_its_bounds(self, monkeypatch):
+        """One table per call, for the first child only, of at most
+        min((forest+1)//2, _TABLE_CAP) entries; at size 10^6 a thousand
+        rows fill it to the cap."""
+        tables = {}
+        walk = catalan_stanley.enumeration._first_tree_size
+
+        def recording(forest, draw, bits, sums=None):
+            size = walk(forest, draw, bits, sums)
+            if sums is not None:
+                tables[id(sums)] = (forest, len(sums))
+            return size
+
+        monkeypatch.setattr(catalan_stanley.enumeration, "_first_tree_size", recording)
+        cap = catalan_stanley.enumeration._TABLE_CAP
+        for n, count in ((3, 20), (9, 2000), (50, 3000), (10**4, 300), (10**6, 1000)):
+            tables.clear()
+            sample_reduced_sizes(n, count, seed=n)
+            ((forest, entries),) = tables.values()
+            assert forest == n - 2 and 1 <= entries <= min((forest + 1) // 2, cap)
+        assert entries == cap
+
+    def test_memory_does_not_grow_with_count(self):
+        """A table for every forest size peaked at about 3.3 MiB on this
+        call, and grows with the rows; the first-child table stays near
+        1 MiB.  Tracing every big-int step costs about 2.4 ms a row, so
+        1000 rows."""
+        tracemalloc.start()
+        try:
+            draws = sample_reduced_sizes(10**4, 1000, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 1000
+        assert peak < 2 * 2**20
