@@ -41,11 +41,11 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # request (100 of them) 4.4 s and 59 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 1 s and at --max-size 14 about
-# 5 s: the census of size 14 alone takes most of it, and each extra size
-# about 4x more.  The series layer (--max-r half the order) takes 1.2 s at
-# order 64, 2.7 s at 80 and 12 s at 128; all three caps together take
-# about 7 s (2-vCPU VM, Python 3.11).  Past r = order/2 no tree of the
+# `verify` at default scope takes about 0.5-0.9 s and at --max-size 14
+# about 2.5-3.5 s: the census of size 14 alone takes about 2 s of it, and
+# each extra size about 4x more.  The series layer (--max-r half the order)
+# takes 1.2 s at order 64, 2.7 s at 80 and 12 s at 128; all three caps
+# together take about 4-5.5 s (2-vCPU VM, Python 3.11).  Past r = order/2 no tree of the
 # series or of the census has that age, so a larger --max-r only repeats
 # checks.
 MAX_VERIFY_SIZE = 14

@@ -7,8 +7,8 @@ Catalan-Stanley trees are the words whose returns to the axis all end odd
 descents.  A tree is held as that word, so both routes below make words,
 not nodes.  Generation is a depth-first walk over Dyck words in that
 order down to the last ten steps, whose completions it reads from a fixed
-table; it streams the trees in O(size) memory, at 0.7-0.8 us a tree at
-size 13 (2-vCPU VM), about half of it wrapping each word in its
+table; it streams the trees in O(size) memory, at 0.3-0.5 us a tree at
+size 13 (2-vCPU VM), about 0.15 us of it wrapping each word in its
 `PlaneTree`.
 
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths

@@ -12,15 +12,14 @@ subtrees of the rightmost leaf's grandparent are deleted, which shortens
 that branch's rightmost path by two.  The age of a tree is the number of
 reductions needed to reach the single-node tree.
 
-A tree is held as its balanced-parentheses word, and every operation reads
-that word: the tree's Dyck path is the word without the root's pair, and a
-root branch's marked leaf sits at the depth of the run of ``)`` that closes
-the branch.
+A tree is held as its balanced-parentheses word and a Dyck path as its word
+over ``(`` (+1) and ``)`` (-1), and every operation reads those words: the
+glove bijection drops or adds the root's pair, and a root branch's marked
+leaf sits at the depth of the run of ``)`` that closes the branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MalformedPathError, NotCatalanStanleyError, TreeParseError
@@ -38,6 +37,9 @@ __all__ = [
     "has_odd_returns",
 ]
 
+_new = object.__new__
+_UD = str.maketrans("()", "UD")  # a path's word as a word over {U, D}
+
 
 class PlaneTree:
     """Immutable rooted ordered tree, held as its balanced-parentheses word.
@@ -52,10 +54,10 @@ class PlaneTree:
     def __init__(self, children: Iterable["PlaneTree"] = ()):
         self._word = "(" + "".join(c._word for c in children) + ")"
 
-    @classmethod
-    def _of(cls, word: str) -> "PlaneTree":
+    @staticmethod
+    def _of(word: str) -> "PlaneTree":
         """The tree of a word already known to be balanced with one root."""
-        tau = object.__new__(cls)
+        tau = _new(PlaneTree)
         tau._word = word
         return tau
 
@@ -78,8 +80,16 @@ class PlaneTree:
     @property
     def children(self) -> tuple["PlaneTree", ...]:
         """Root-child subtrees, left to right: the word split at its returns to the root."""
-        ends = [end for end, _ in _branches(self._word)]
-        return tuple(PlaneTree._of(self._word[a:b]) for a, b in zip([1, *ends], ends))
+        word = self._word
+        out = []
+        start = 1
+        height = 0
+        for i in range(1, len(word) - 1):
+            height += 1 if word[i] == "(" else -1
+            if not height:
+                out.append(PlaneTree._of(word[start : i + 1]))
+                start = i + 1
+        return tuple(out)
 
     @property
     def is_leaf(self) -> bool:
@@ -89,66 +99,67 @@ class PlaneTree:
         return f"PlaneTree({self._word!r})"
 
 
-def _branches(word: str) -> list[tuple[int, int]]:
-    """(end, d) for each root branch of a tree's word, left to right.
-
-    The branch is the factor of the word that ends just before index end,
-    and d, the run of ``)`` that brings the height back to 0 there, is the
-    depth of the branch's marked leaf.
-    """
-    out = []
-    height = run = 0
-    for end, ch in enumerate(word[1:-1], 2):
-        if ch == "(":
-            height += 1
-            run = 0
-        else:
-            height -= 1
-            run += 1
-            if not height:
-                out.append((end, run))
-    return out
-
-
-@dataclass(frozen=True, slots=True)
 class DyckPath:
-    """Sequence over {+1, -1} with nonnegative prefix sums and total sum 0."""
+    """Sequence over {+1, -1} with nonnegative prefix sums and total sum 0.
 
-    steps: tuple[int, ...] = ()
+    The path is held as its word over ``(`` for +1 and ``)`` for -1, which
+    is the word of its tree under the glove bijection without the root's
+    pair.  ``steps`` rebuilds the sequence; equality and hashing are the
+    word's, so paths built from any iterable of the same steps are equal.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("_word",)
+
+    def __init__(self, steps: Iterable[int] = ()):
+        chars = []
         height = 0
-        for i, s in enumerate(self.steps):
-            if s not in (1, -1):
+        for i, s in enumerate(steps):
+            if s == 1:
+                height += 1
+                chars.append("(")
+            elif s == -1:
+                height -= 1
+                if height < 0:
+                    raise MalformedPathError(f"prefix sum drops below 0 at step {i}")
+                chars.append(")")
+            else:
                 raise MalformedPathError(f"step {i} is {s!r}, expected +1 or -1")
-            height += s
-            if height < 0:
-                raise MalformedPathError(f"prefix sum drops below 0 at step {i}")
-        if height != 0:
+        if height:
             raise MalformedPathError("total sum is nonzero")
+        self._word = "".join(chars)
 
-    @classmethod
-    def _of(cls, steps: tuple[int, ...]) -> "DyckPath":
-        """The path of steps already known to form a Dyck path."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
+    @staticmethod
+    def _of(word: str) -> "DyckPath":
+        """The path of a word already known to be balanced."""
+        path = _new(DyckPath)
+        path._word = word
         return path
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        return tuple(1 if ch == "(" else -1 for ch in self._word)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DyckPath):
+            return NotImplemented
+        return self._word == other._word
+
+    def __hash__(self) -> int:
+        return hash(self._word)
+
+    def __repr__(self) -> str:
+        return f"DyckPath(steps={self.steps!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "DyckPath":
         """Parse a word over {U, D}."""
-        steps = []
         for i, ch in enumerate(text):
-            if ch == "U":
-                steps.append(1)
-            elif ch == "D":
-                steps.append(-1)
-            else:
+            if ch != "U" and ch != "D":
                 raise MalformedPathError(f"character {ch!r} at position {i}, expected U or D")
-        return cls(tuple(steps))
+        return cls(1 if ch == "U" else -1 for ch in text)
 
     def to_string(self) -> str:
-        return "".join("U" if s == 1 else "D" for s in self.steps)
+        return self._word.translate(_UD)
 
 
 def parse_tree(text: str) -> PlaneTree:
@@ -178,35 +189,41 @@ def parse_tree(text: str) -> PlaneTree:
 def is_catalan_stanley(tau: PlaneTree) -> bool:
     """True iff every root branch's rightmost leaf has odd depth.
 
-    The single-node tree belongs to the class.
+    The single-node tree belongs to the class.  One scan of the word stops
+    at the first run of ``)`` that returns to the root with even length.
     """
-    return all(d % 2 for _, d in _branches(tau._word))
-
-
-_STEP_BYTES = bytes.maketrans(b"()", b"\x01\xff")  # ( -> +1 and ) -> -1 as signed bytes
-_CHAR = {1: "(", -1: ")"}
+    height = run = 0
+    for ch in tau._word[1:-1]:
+        if ch == "(":
+            height += 1
+            run = 0
+        else:
+            height -= 1
+            run += 1
+            if not height and not run % 2:
+                return False
+    return True
 
 
 def tree_to_dyck(tau: PlaneTree) -> DyckPath:
-    """Glove bijection: the word without the root's pair, ( -> +1 and ) -> -1.
+    """Glove bijection: the tree's word without the root's pair.
 
     A tree's word is balanced, so the path is not checked again.
     """
-    steps = memoryview(tau._word[1:-1].encode().translate(_STEP_BYTES)).cast("b")
-    return DyckPath._of(tuple(steps))
+    return DyckPath._of(tau._word[1:-1])
 
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
     """Inverse glove bijection; the result has semilength+1 nodes."""
-    return PlaneTree._of("(" + "".join(map(_CHAR.__getitem__, path.steps)) + ")")
+    return PlaneTree._of("(" + path._word + ")")
 
 
 def has_odd_returns(path: DyckPath) -> bool:
     """True iff every maximal descent run ending on the x-axis has odd length."""
     height = 0
     run = 0
-    for s in path.steps:
-        if s == 1:
+    for ch in path._word:
+        if ch == "(":
             height += 1
             run = 0
         else:

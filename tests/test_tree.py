@@ -1,6 +1,7 @@
 import random
 
 from hypothesis import given, settings, strategies as st
+import numpy as np
 import pytest
 
 from catalan_stanley.errors import (
@@ -22,7 +23,7 @@ from catalan_stanley.tree import (
 )
 from catalan_stanley.enumeration import enumerate_trees, plane_trees
 
-from tree_shapes import chain, reference_reduce, star
+from tree_shapes import broom, chain, marked_leaf_depths, reference_reduce, star
 
 # re-derived from the bijection figure: a 20-step path with three odd
 # returns and the 11-node tree it folds into
@@ -125,6 +126,27 @@ class TestDeepTrees:
         assert dyck_to_tree(tree_to_dyck(tau)) == tau
         assert PlaneTree(tau.children) == tau
 
+    @pytest.mark.parametrize(
+        "handle,bristles,member",
+        [
+            (10**5, 0, True),  # a chain: marked leaf at depth 10^5 - 1
+            (10**5 + 1, 0, False),
+            (50_001, 49_999, True),  # marked leaf at depth 50_001
+            (50_000, 50_000, False),
+        ],
+    )
+    def test_glove_bijection_and_membership(self, handle, bristles, member):
+        tau = broom(handle, bristles)
+        path = tree_to_dyck(tau)
+        assert dyck_to_tree(path) == tau
+        steps = path.steps
+        assert steps == (1,) * (handle - 1) + (1, -1) * bristles + (-1,) * (handle - 1)
+        assert DyckPath(steps) == path
+        text = path.to_string()
+        assert text == "U" * (handle - 1) + "UD" * bristles + "D" * (handle - 1)
+        assert DyckPath.from_string(text) == path
+        assert has_odd_returns(path) == is_catalan_stanley(tau) == member
+
     @given(deep_tree_strategy())
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_and_hash(self, tau):
@@ -167,6 +189,89 @@ class TestDyckPath:
     def test_bad_character(self):
         with pytest.raises(MalformedPathError):
             DyckPath.from_string("UX")
+
+    @pytest.mark.parametrize(
+        "path,steps",
+        [
+            (DyckPath(), ()),
+            (DyckPath((1, -1)), (1, -1)),
+            (DyckPath.from_string("UUDUDD"), (1, 1, -1, 1, -1, -1)),
+        ],
+    )
+    def test_steps(self, path, steps):
+        assert path.steps == steps
+        assert type(path.steps) is tuple
+        assert all(type(s) is int for s in path.steps)
+
+    def test_equality_and_hash(self):
+        path, same = DyckPath((1, 1, -1, -1)), DyckPath.from_string("UUDD")
+        assert path == same and not path != same
+        assert hash(path) == hash(same)
+        assert same in {path}
+        assert path != DyckPath((1, -1, 1, -1))
+        assert path != PlaneTree() and path != parse_tree("((()))")
+        assert path != (1, 1, -1, -1)
+
+    def test_repr(self):
+        assert repr(DyckPath()) == "DyckPath(steps=())"
+        assert repr(DyckPath.from_string("UUDUDD")) == "DyckPath(steps=(1, 1, -1, 1, -1, -1))"
+
+    @pytest.mark.parametrize(
+        "steps,message",
+        [
+            ((1, 2, -1), "step 1 is 2, expected +1 or -1"),
+            ((1, -1, "D"), "step 2 is 'D', expected +1 or -1"),
+            ((-1, 1), "prefix sum drops below 0 at step 0"),
+            ((1, -1, -1, 5), "prefix sum drops below 0 at step 2"),
+            ((1,), "total sum is nonzero"),
+            ((1, 1, -1), "total sum is nonzero"),
+        ],
+    )
+    def test_error_messages(self, steps, message):
+        with pytest.raises(MalformedPathError) as excinfo:
+            DyckPath(steps)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("UX", "character 'X' at position 1, expected U or D"),
+            ("U(D)", "character '(' at position 1, expected U or D"),
+            ("DU", "prefix sum drops below 0 at step 0"),
+            ("UUD", "total sum is nonzero"),
+        ],
+    )
+    def test_from_string_error_messages(self, text, message):
+        with pytest.raises(MalformedPathError) as excinfo:
+            DyckPath.from_string(text)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("text", ["", "UD", "UUDD", "UDUD", FIGURE_PATH])
+    def test_string_roundtrip(self, text):
+        path = DyckPath.from_string(text)
+        assert path.to_string() == text
+        assert DyckPath.from_string(path.to_string()) == path
+        assert DyckPath(path.steps) == path
+
+    def test_steps_are_read_only(self):
+        path = DyckPath((1, -1))
+        with pytest.raises(AttributeError):
+            path.steps = ()
+        assert path.steps == (1, -1)
+
+    def test_any_iterable_of_steps(self):
+        """A list, a tuple, a generator and a numpy row give the same path."""
+        steps = (1, 1, -1, 1, -1, -1)
+        paths = [
+            DyckPath(list(steps)),
+            DyckPath(steps),
+            DyckPath(s for s in steps),
+            DyckPath(np.array(steps, dtype=np.int8)),
+        ]
+        for path in paths:
+            assert path == DyckPath(steps)
+            assert hash(path) == hash(DyckPath(steps))
+            assert path.steps == steps
 
 
 class TestGloveBijection:
@@ -219,6 +324,32 @@ class TestMembership:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_stars_belong(self, n):
         assert is_catalan_stanley(star(n))
+
+
+class TestMembershipOracle:
+    """The membership scan against each branch's marked-leaf depth, read by
+    walking last children down to a leaf."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_every_plane_tree(self, n):
+        for tau in plane_trees(n):
+            expected = all(d % 2 for d in marked_leaf_depths(tau))
+            assert is_catalan_stanley(tau) == expected
+
+    @pytest.mark.parametrize(
+        "tau",
+        [chain(n) for n in (300, 301, 998, 999)]
+        + [star(n) for n in (2, 500)]
+        + [broom(h, b) for h, b in ((1, 3), (2, 3), (299, 200), (300, 200))]
+        + [PlaneTree((chain(400), star(300), chain(3)))],
+    )
+    def test_deep_shapes(self, tau):
+        assert is_catalan_stanley(tau) == all(d % 2 for d in marked_leaf_depths(tau))
+
+    @given(tree_strategy)
+    @settings(max_examples=80)
+    def test_random_trees(self, tau):
+        assert is_catalan_stanley(tau) == all(d % 2 for d in marked_leaf_depths(tau))
 
 
 def reductions_to_leaf(tau):

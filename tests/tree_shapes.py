@@ -1,6 +1,6 @@
 """Hand-built tree shapes that the tests use as fixed examples."""
 
-from catalan_stanley.tree import PlaneTree
+from catalan_stanley.tree import PlaneTree, parse_tree
 
 
 def chain(n: int) -> PlaneTree:
@@ -14,6 +14,26 @@ def chain(n: int) -> PlaneTree:
 def star(n: int) -> PlaneTree:
     """Root with n-1 leaf children."""
     return PlaneTree((PlaneTree(),) * (n - 1))
+
+
+def broom(handle: int, bristles: int) -> PlaneTree:
+    """Chain of `handle` nodes, root first, whose last node has `bristles` leaf children.
+
+    Built from its word, so that shapes of 10^5 nodes cost O(size).
+    """
+    return parse_tree("(" * handle + "()" * bristles + ")" * handle)
+
+
+def marked_leaf_depths(tau: PlaneTree) -> list[int]:
+    """Depth of each root branch's rightmost leaf, found by following last children."""
+    depths = []
+    for branch in tau.children:
+        depth, node = 1, branch
+        while not node.is_leaf:
+            node = node.children[-1]
+            depth += 1
+        depths.append(depth)
+    return depths
 
 
 def reference_reduce(tau: PlaneTree) -> PlaneTree:
