@@ -260,6 +260,15 @@ GOLDEN_PMF_SHA256 = {
         "1ec7298f762aad723feb5d807b13eb55966b6acb7d50f0ce93c6a4cee3243e68",
     ("ancestor", "--size", "1000", "--depth", "2", "--asym", "--format", "csv"):
         "00b5e7c0b2d874666eb85bdab606253f931d9911bbfddec7f76678bb3a53ad63",
+    # recorded while each mass was printed through its own Fraction
+    ("age", "--size", "2000", "--format", "csv"):
+        "f2f9d37409a425a0de245cc4c9e14571a931358f274165b6184f9b6af23ef865",
+    ("age", "--size", "2000", "--format", "json"):
+        "52b35d755466336e559a143bbfe617314e3f425ca6a19a8f8de5c9580bfea947",
+    ("age", "--size", "2000", "--format", "text"):
+        "df9884a1efd9fd6140c7bb017047bfff30ddc8b5150ad5ae0ebb42ec976474e4",
+    ("age", "--size", "4000", "--format", "csv"):
+        "7aa1b27dd55f860fb12f6aeef1e35db305b5a2ee901e3e76a8e2d52a99b8d60b",
     ("verify", "--max-size", "5", "--max-r", "2", "--order", "6"):
         "ce3c768c0b28fe11e7499336df17843c4bd41356f5360d9010e4f25ec1038cda",
     ("verify", "--max-size", "5", "--max-r", "2", "--order", "6", "--format", "json"):
