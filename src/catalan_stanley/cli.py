@@ -7,6 +7,7 @@ Output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,9 @@ USAGE_ERROR = 2
 # 2.7 million trees) takes about 7 s, size 25 would take about ten days.
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
-# about 2 s, and from 7155 on a numerator passes Python's 4300-digit
+# about 2.0-2.3 s (2-vCPU VM, Python 3.11), most of it one gcd per line.
+# Denominators print through `decimal`, which has no digit limit, but the
+# numerators are ints, and from 7155 on one can pass Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
 # pairs of series of order n: at --depth 1 size 480 takes about 5 s, 500
 # about 5.5 s and 600 about 10 s; deeper runs are faster.  `--asym` takes
@@ -53,8 +56,31 @@ MAX_VERIFY_ORDER = 80
 MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
 
 
+class _ParserExit(Exception):
+    """What argparse would print before exiting: the text and the status.
+
+    Status 0 (`--help`) goes to the caller's `out`, a usage error to `err`.
+    """
+
+    def __init__(self, status: int, text: str):
+        super().__init__(text)
+        self.status, self.text = status, text
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises `_ParserExit` where argparse would print to the process streams
+    and exit, so one parser serves every `run` call and every thread."""
+
+    def error(self, message):
+        raise _ParserExit(USAGE_ERROR, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catalan-stanley",
         description="Catalan-Stanley tree growth process: exact and asymptotic statistics",
     )
@@ -135,13 +161,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_distribution(table: stats.DistributionTable, fmt: str, out) -> None:
-    if fmt == "csv":
-        print(table.to_csv(), file=out)
-    elif fmt == "json":
+    """JSON as one document; CSV and text written a line at a time."""
+    if fmt == "json":
         print(table.to_json(), file=out)
     else:
-        for value, mass in zip(table.support, table.masses):
-            print(f"{value} {mass}", file=out)
+        for line in table.lines(fmt):
+            out.write(f"{line}\n")
 
 
 def _check_size_cap(command: str, value: int, cap: int, flag: str = "--size") -> None:
@@ -297,11 +322,11 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     """Dispatch a command line; returns the process exit status."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        (err if exc.status else out).write(exc.text)
+        return exc.status
     try:
         return _HANDLERS[args.command](args, out)
     # TreeParseError, MalformedPathError and CapacityError are ValueErrors

@@ -1,7 +1,8 @@
 """Exact age and ancestor statistics, computed as integer tree counts.
 
 Every pmf here is a count of trees over C(n-2); a probability or a moment
-becomes a Fraction only when it leaves the module.
+becomes a Fraction only when it is read, and a printed pmf builds none (see
+`DistributionTable`).
 
 The number f(n,r) of size-n trees of age >= r comes from a finite
 alternating binomial sum obtained by coefficient extraction.  With
@@ -30,6 +31,7 @@ built, and a size-n pmf costs about n/(2r+1) products of order n.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -55,27 +57,26 @@ __all__ = [
 def _extraction_table(n: int) -> tuple[int, ...]:
     """[u^(n-1-k)] (1 + u - 2u^2) (1+u)^(2n-4-k) for k = 1..n-1 (all later k give 0).
 
-    Built with three running binomials stepped by the exact ratio
-    binom(a-1, b-1) = binom(a, b) * b / a, which beats recomputing
-    math.comb at every k for large n.
+    One running binomial b = binom(e, beta), stepped by the exact ratio
+    binom(a-1, b-1) = binom(a, b) * b / a, carries the term: with
+    e - beta = n-3 the other two binomials are b*beta/(n-2) and
+    b*beta*(beta-1)/((n-2)(n-1)), so the term is
+    b * (q + beta(n-1) - 2 beta(beta-1)) / q with q = (n-2)(n-1), an exact
+    division.
     """
     if n < 2:
         return ()
     if n == 2:
         return (1,)  # [u^0] (1 + u - 2u^2) (1+u)^(-1)
-    m = n - 2  # beta at k = 1; the upper index stays m + n - 3
-    b0 = math.comb(2 * n - 5, m)
-    b1 = math.comb(2 * n - 5, m - 1) if m >= 1 else 0
-    b2 = math.comb(2 * n - 5, m - 2) if m >= 2 else 0
+    q = (n - 2) * (n - 1)
+    beta = n - 2  # at k = 1; the upper index stays beta + n - 3
+    b = math.comb(2 * n - 5, beta)
     out = []
     for _k in range(1, n):
-        out.append(b0 + b1 - 2 * b2)
-        if m >= 1:
-            upper = m + n - 3
-            b0 = b0 * m // upper
-            b1 = b1 * (m - 1) // upper
-            b2 = b2 * (m - 2) // upper if m >= 2 else 0
-            m -= 1
+        out.append(b * (q + beta * (n - 1) - 2 * beta * (beta - 1)) // q)
+        if beta:
+            b = b * beta // (beta + n - 3)
+            beta -= 1
     return tuple(out)
 
 
@@ -156,13 +157,20 @@ def age_variance(n: int) -> Fraction:
     return Fraction(total * second - first * first, total * total)
 
 
+def _fraction_text(numerator: str, denominator: str) -> str:
+    """str(Fraction) of a reduced fraction given as the text of its two parts."""
+    return numerator if denominator == "1" else f"{numerator}/{denominator}"
+
+
 @dataclass(frozen=True, slots=True)
 class DistributionTable:
     """Exact pmf of the age or of an ancestor size at one tree size.
 
     counts[i] is the number of size-n trees whose value is support[i]; the
     counts add up to the number of size-n trees, the denominator of every
-    mass.
+    mass.  `masses`, `mass`, `mean` and `variance` return Fractions; the
+    printed forms (`lines`, `to_csv`, `to_json`) reduce each mass by one gcd
+    and print it as str(Fraction) would, without building one.
     """
 
     size_n: int
@@ -188,14 +196,28 @@ class DistributionTable:
         """C(n-2) trees of size n >= 2, and the single node."""
         return catalan(self.size_n - 2) if self.size_n > 1 else 1
 
-    def _mass_items(self):
-        """(value, mass) pairs, each mass built as it is read."""
+    def _mass_texts(self):
+        """(value, numerator, denominator) of each reduced mass, as decimal text.
+
+        One gcd per mass.  Every denominator is C(n-2) over that gcd, so
+        C(n-2) is converted to a Decimal once and each denominator is one
+        exact `divide_int` by the gcd; a Decimal's text costs linear time
+        where an int's costs quadratic.  The context is private, so the
+        caller's decimal context plays no part.
+        """
         total = self._total
-        return ((v, Fraction(c, total)) for v, c in zip(self.support, self.counts))
+        ctx = decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+        )
+        big = ctx.create_decimal(total)
+        for v, c in zip(self.support, self.counts):
+            g = math.gcd(c, total)
+            yield v, str(c // g), str(ctx.divide_int(big, g))
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self._mass_items())
+        total = self._total
+        return tuple(Fraction(c, total) for c in self.counts)
 
     def mass(self, value: int) -> Fraction:
         if value not in self.support:
@@ -212,10 +234,22 @@ class DistributionTable:
         second = sum(v * v * c for v, c in zip(self.support, self.counts))
         return Fraction(total * second - first * first, total * total)
 
+    def lines(self, fmt: str = "csv"):
+        """The pmf one line at a time, without newlines: `value,numerator,
+        denominator` rows after a header for "csv", `value mass` for "text",
+        where a mass prints as str(Fraction) does."""
+        if fmt == "csv":
+            yield "value,numerator,denominator"
+            for v, a, b in self._mass_texts():
+                yield f"{v},{a},{b}"
+        elif fmt == "text":
+            for v, a, b in self._mass_texts():
+                yield f"{v} {_fraction_text(a, b)}"
+        else:
+            raise ValueError("fmt must be 'csv' or 'text'")
+
     def to_csv(self) -> str:
-        lines = ["value,numerator,denominator"]
-        lines += [f"{v},{m.numerator},{m.denominator}" for v, m in self._mass_items()]
-        return "\n".join(lines)
+        return "\n".join(self.lines("csv"))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -223,7 +257,7 @@ class DistributionTable:
                 "n": self.size_n,
                 "kind": self.kind,
                 "r": self.r,
-                "pmf": {str(v): str(m) for v, m in self._mass_items()},
+                "pmf": {str(v): _fraction_text(a, b) for v, a, b in self._mass_texts()},
             }
         )
 

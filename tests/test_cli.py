@@ -1,9 +1,14 @@
+import decimal
 import hashlib
 import json
+import math
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -20,8 +25,10 @@ from catalan_stanley.cli import (
     MAX_VERIFY_ORDER,
     MAX_VERIFY_R,
     MAX_VERIFY_SIZE,
+    _emit_distribution,
     run,
 )
+from catalan_stanley.stats import age_distribution, ancestor_distribution
 from catalan_stanley.tree import parse_tree
 from catalan_stanley.verify import _census, run_verification
 
@@ -192,7 +199,8 @@ class TestAge:
         assert f"up to {MAX_AGE_SIZE}" in err
 
     def test_cap_prints_within_int_digit_limit(self):
-        # every numerator and denominator at the cap is at most C(n-2)
+        # every numerator at the cap is at most C(n-2); denominators print
+        # through decimal, which has no digit limit
         digits = len(str(catalan_stanley.enumeration.catalan(MAX_AGE_SIZE - 2)))
         assert digits <= sys.get_int_max_str_digits()
 
@@ -281,6 +289,97 @@ def test_golden_pmf_bytes(argv):
     code, out, _ = invoke(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PMF_SHA256[argv]
+
+
+def _oracle_lines(table):
+    """CSV, text and JSON masses of a table, each built from its own Fraction."""
+    m = table.size_n - 2
+    total = math.comb(2 * m, m) // (m + 1) if m >= 0 else 1
+    masses = [(v, Fraction(c, total)) for v, c in zip(table.support, table.counts)]
+    return {
+        "csv": ["value,numerator,denominator"]
+        + [f"{v},{f.numerator},{f.denominator}" for v, f in masses],
+        "text": [f"{v} {f}" for v, f in masses],
+        "json": {str(v): str(f) for v, f in masses},
+    }
+
+
+def _emitted(table):
+    printed = {}
+    for fmt in ("csv", "text", "json"):
+        out = StringIO()
+        _emit_distribution(table, fmt, out)
+        printed[fmt] = out.getvalue()
+    return printed
+
+
+def _assert_matches_oracle(table):
+    expected, printed = _oracle_lines(table), _emitted(table)
+    for fmt in ("csv", "text"):
+        assert printed[fmt] == "".join(f"{line}\n" for line in expected[fmt])
+    assert json.loads(printed["json"])["pmf"] == expected["json"]
+
+
+class TestPmfTextOracle:
+    """Every printed mass against str(Fraction) of its own count, which
+    shares no code with the decimal route that prints it."""
+
+    def test_age(self):
+        for n in range(1, 301):
+            _assert_matches_oracle(age_distribution(n))
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_ancestor(self, r):
+        for n in range(1, 121):
+            _assert_matches_oracle(ancestor_distribution(n, r))
+
+    def test_caller_decimal_context_plays_no_part(self):
+        tables = [age_distribution(300), ancestor_distribution(60, 1)]
+        expected = [_emitted(t) for t in tables]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.traps[decimal.Inexact] = True
+            assert [_emitted(t) for t in tables] == expected
+
+    def test_other_threads_decimal_context_plays_no_part(self):
+        tables = [age_distribution(300), ancestor_distribution(60, 1)]
+        expected = [_emitted(t) for t in tables]
+
+        def narrow_then_emit():
+            decimal.getcontext().prec = 3
+            return [_emitted(t) for t in tables]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            narrowed = pool.submit(narrow_then_emit).result(timeout=120)
+            here = [_emitted(t) for t in tables]
+        assert narrowed == expected and here == expected
+
+
+class _Recorder:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("age", "--size", "2000", "--format", "csv"),
+        ("age", "--size", "2000", "--format", "text"),
+        ("ancestor", "--size", "30", "--depth", "2", "--format", "csv"),
+        ("ancestor", "--size", "30", "--depth", "2", "--format", "text"),
+    ],
+)
+def test_pmf_is_written_a_line_at_a_time(argv):
+    out = _Recorder()
+    assert run(list(argv), out=out, err=StringIO()) == 0
+    printed = "".join(out.chunks)
+    longest = max(len(line) for line in printed.splitlines())
+    assert len(out.chunks) == printed.count("\n")
+    assert all(len(chunk) <= longest + 1 for chunk in out.chunks)
+    assert hashlib.sha256(printed.encode()).hexdigest() == GOLDEN_PMF_SHA256[argv]
 
 
 class TestConstants:
@@ -450,6 +549,75 @@ class TestUsageErrors:
 
     def test_exclusive_flags(self):
         assert invoke("age", "--size", "4", "--exact", "--asym")[0] == 2
+
+
+AGE_USAGE = (
+    "usage: catalan-stanley age [-h] --size SIZE [--exact | --asym]\n"
+    "                           [--format {text,json,csv}]\n"
+)
+# (argv, status, out, err): None is any nonempty text, and a text ending in
+# a blank line is a prefix (the help goes on to list the options)
+PARSER_EXITS = [
+    (("age", "--size", "x"), 2, "", AGE_USAGE
+     + "catalan-stanley age: error: argument --size: invalid int value: 'x'\n"),
+    (("nonsense",), 2, "", None),
+    (("--help",), 0, None, ""),
+    (("age", "--help"), 0, AGE_USAGE + "\n", ""),
+    (("count", "--size", "4"), 0, "2\n", ""),
+]
+
+
+class TestParserOutput:
+    """argparse's usage errors and help reach the `err` and `out` given to
+    `run`, never the process streams; `main` prints the same text there.
+    COLUMNS fixes the width argparse wraps usage lines at."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def _check(result, code, out, err):
+        assert result[0] == code
+        for text, want in zip(result[1:], (out, err)):
+            if want is None:
+                assert text != ""
+            elif want.endswith("\n\n"):
+                assert text.startswith(want)
+            else:
+                assert text == want
+
+    @pytest.mark.parametrize(
+        "argv,code,out,err", PARSER_EXITS, ids=[" ".join(c[0]) for c in PARSER_EXITS]
+    )
+    def test_routed_to_given_streams(self, capsys, argv, code, out, err):
+        self._check(invoke(*argv), code, out, err)
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_lists_every_command(self):
+        code, out, _ = invoke("--help")
+        assert code == 0 and out.startswith("usage: catalan-stanley [-h]")
+        for command in ("count", "enumerate", "sample", "age", "ancestor", "verify"):
+            assert command in out
+
+    def test_many_threads_at_once(self):
+        cases = PARSER_EXITS * 8
+        expected = [invoke(*argv) for argv, *_ in cases]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda case: invoke(*case[0]), cases, timeout=120))
+        assert results == expected
+        for result, (_, code, out, err) in zip(results, cases):
+            self._check(result, code, out, err)
+
+    @pytest.mark.parametrize("argv", [("age", "--size", "x"), ("age", "--help")])
+    def test_main_prints_to_process_streams(self, argv):
+        package_root = os.path.dirname(os.path.dirname(catalan_stanley.tree.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        done = subprocess.run(
+            [sys.executable, "-m", "catalan_stanley.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == invoke(*argv)
 
 
 class TestReportShape:

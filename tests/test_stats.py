@@ -289,6 +289,14 @@ class TestDistributionTable:
             "pmf": {"1": "1/2", "2": "1/2"},
         }
 
+    def test_lines(self):
+        table = age_distribution(5)
+        assert list(table.lines()) == ["value,numerator,denominator", "1,1,5", "2,4,5"]
+        assert list(table.lines("text")) == ["1 1/5", "2 4/5"]
+        assert list(age_distribution(2).lines("text")) == ["1 1"]
+        with pytest.raises(ValueError):
+            list(table.lines("json"))
+
     def test_rejects_bad_masses(self):
         # size 4 has C(2) = 2 trees, so the counts must add up to 2
         with pytest.raises(ValueError):
