@@ -57,14 +57,8 @@ MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
 
 
 class _ParserExit(Exception):
-    """What argparse would print before exiting: the text and the status.
-
-    Status 0 (`--help`) goes to the caller's `out`, a usage error to `err`.
-    """
-
-    def __init__(self, status: int, text: str):
-        super().__init__(text)
-        self.status, self.text = status, text
+    """args: the status argparse would exit with and the text it would print
+    first, to `out` for status 0 (`--help`) and to `err` for a usage error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,8 +319,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except _ParserExit as exc:
-        (err if exc.status else out).write(exc.text)
-        return exc.status
+        status, text = exc.args
+        (err if status else out).write(text)
+        return status
     try:
         return _HANDLERS[args.command](args, out)
     # TreeParseError, MalformedPathError and CapacityError are ValueErrors

@@ -601,10 +601,16 @@ class TestParserOutput:
             assert command in out
 
     def test_many_threads_at_once(self):
+        # one shared parser, more threads than cores, switching often
         cases = PARSER_EXITS * 8
         expected = [invoke(*argv) for argv, *_ in cases]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda case: invoke(*case[0]), cases, timeout=120))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda case: invoke(*case[0]), cases, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         assert results == expected
         for result, (_, code, out, err) in zip(results, cases):
             self._check(result, code, out, err)
