@@ -234,7 +234,7 @@ class DistributionTable:
         second = sum(v * v * c for v, c in zip(self.support, self.counts))
         return Fraction(total * second - first * first, total * total)
 
-    def lines(self, fmt: str = "csv"):
+    def lines(self, fmt: str):
         """The pmf one line at a time, without newlines: `value,numerator,
         denominator` rows after a header for "csv", `value mass` for "text",
         where a mass prints as str(Fraction) does."""

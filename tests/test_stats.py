@@ -291,7 +291,7 @@ class TestDistributionTable:
 
     def test_lines(self):
         table = age_distribution(5)
-        assert list(table.lines()) == ["value,numerator,denominator", "1,1,5", "2,4,5"]
+        assert list(table.lines("csv")) == ["value,numerator,denominator", "1,1,5", "2,4,5"]
         assert list(table.lines("text")) == ["1 1/5", "2 4/5"]
         assert list(age_distribution(2).lines("text")) == ["1 1"]
         with pytest.raises(ValueError):
