@@ -4,12 +4,13 @@ There is one tree of size 1 and C(n-2) trees of size n >= 2.  A tree's
 serialization is "(" + its Dyck word + ")" with U -> "(" and D -> ")", so
 lexicographic tree order is the U<D lex order of Dyck words, and the
 Catalan-Stanley trees are the words whose returns to the axis all end odd
-descents.  A tree is held as that word, so both routes below make words,
-not nodes.  Generation is a depth-first walk over Dyck words in that
-order down to the last ten steps, whose completions it reads from a fixed
-table; it streams the trees in O(size) memory, at 0.3-0.5 us a tree at
-size 13 (2-vCPU VM), about 0.15 us of it wrapping each word in its
-`PlaneTree`.
+descents.  A tree is held as that word, its depth string, or both (see
+`tree`), so both routes below make strings, not nodes.  Generation is a
+depth-first walk over Dyck words in that order down to the last ten
+steps, whose completions it reads from a fixed table of (word tail, depth
+tail) pairs; each tree holds both encodings, so `reduce`, `age` and
+membership derive nothing.  It streams the trees in O(size) memory, at
+0.45-0.85 us a tree at size 13 (noisy 2-vCPU VM).
 
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths
 (balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
@@ -36,8 +37,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import SamplingError
-from .tree import PlaneTree
+from .errors import CapacityError, SamplingError
+from .tree import _MAX_DEPTH, PlaneTree
 
 __all__ = [
     "catalan",
@@ -69,24 +70,32 @@ def count_trees(n: int) -> int:
 _TAIL = 10
 
 
-def _completion_table(odd_returns: bool) -> dict[tuple[int, int, int], tuple[str, ...]]:
+def _completion_table(
+    odd_returns: bool,
+) -> dict[tuple[int, int, int], tuple[tuple[str, ...], tuple[str, ...]]]:
     """Every way to finish a Dyck word, keyed by (steps left, height, parity
     of the descent run the prefix ends in), for up to _TAIL steps left.
 
-    Each completion carries the root's closing ")".  With odd_returns a
-    return to height 0 must end an odd descent run; that is the only rule.
-    "(" is listed before ")", so each tuple is in lex order.
+    Each entry is the tuple of word tails and the tuple of their depth
+    tails: an up step from height h opens a node at depth h + 1, and a down
+    step adds no node, so the key fixes a tail's depth characters.  Each
+    word tail carries the root's closing ")".  With odd_returns a return to
+    height 0 must end an odd descent run; that is the only rule.  "(" is
+    listed before ")", so both tuples are in lex order of the words.
     """
-    table = {(0, 0, 0): (")",), (0, 0, 1): (")",)}
+    done = ((")",), ("",))
+    table = {(0, 0, 0): done, (0, 0, 1): done}
     for left in range(1, _TAIL + 1):
         for height in range(left % 2, left + 1, 2):
+            opened = chr(height + 1)
             for parity in (0, 1):
-                ups = table.get((left - 1, height + 1, 0), ())
-                downs = ()
+                ups = table.get((left - 1, height + 1, 0), ((), ()))
+                downs = ((), ())
                 if height and not (odd_returns and height == 1 and parity):
-                    downs = table.get((left - 1, height - 1, 1 - parity), ())
-                table[left, height, parity] = tuple(
-                    ["(" + t for t in ups] + [")" + t for t in downs]
+                    downs = table.get((left - 1, height - 1, 1 - parity), downs)
+                table[left, height, parity] = (
+                    tuple(["(" + t for t in ups[0]] + [")" + t for t in downs[0]]),
+                    tuple([opened + t for t in ups[1]]) + downs[1],
                 )
     return table
 
@@ -99,19 +108,22 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
 
     A depth-first walk over all but the last _TAIL steps: step up while
     the prefix can still return to height 0, else down; after each prefix,
-    backtrack to the last up step that can turn into a down step.  Each
-    prefix is joined once and extended by every completion that
-    `_completion_table` lists for its state, in lex order, so a tree costs
-    one string concatenation and one `PlaneTree`.  With odd_returns a step
-    down to height 0 must end an odd descent run; a prefix whose forced
-    final descent is even has no completions.  Memory is O(semilength) plus
-    the table, which does not depend on the size.
+    backtrack to the last up step that can turn into a down step.  The walk
+    keeps the prefix's depth string next to its word: an up step from
+    height h appends ``chr(h + 1)``.  Each prefix is joined once and
+    extended by every completion that `_completion_table` lists for its
+    state, in lex order, so a tree costs two string concatenations and one
+    `PlaneTree` that holds both encodings.  With odd_returns a step down to
+    height 0 must end an odd descent run; a prefix whose forced final
+    descent is even has no completions.  Memory is O(semilength) plus the
+    table, which does not depend on the size.
     """
     steps = 2 * semilength
     cut = max(0, steps - _TAIL)
     table = _COMPLETIONS[odd_returns]
     tree_of = PlaneTree._of
     word = ["("]  # the root's "(", then one character per step
+    depth = ["\x00"]  # the root, then one node per up step
     runs: list[int] = []  # descent length after each step, 0 after an up step
     height = 0
     while True:
@@ -122,13 +134,18 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
                 word.append("(")
                 runs.append(0)
                 height += 1
+                depth.append(chr(height))
             else:
                 word.append(")")
                 runs.append(runs[-1] + 1)
                 height -= 1
         prefix = "".join(word)
+        depth_prefix = "".join(depth)
         parity = runs[-1] % 2 if runs else 0
-        yield from map(tree_of, map(prefix.__add__, table[steps - cut, height, parity]))
+        words, depths = table[steps - cut, height, parity]
+        yield from map(
+            tree_of, map(prefix.__add__, words), map(depth_prefix.__add__, depths)
+        )
         while True:
             if not runs:
                 return
@@ -136,6 +153,7 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
             if runs.pop():
                 height += 1
             else:
+                depth.pop()
                 height -= 1
                 if height and not (odd_returns and height == 1 and runs[-1] % 2):
                     word.append(")")
@@ -155,11 +173,14 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     """Streams every Catalan-Stanley tree of size n exactly once.
 
     Trees come out in lexicographic order of their parenthesis
-    serialization, which pins golden files.  A size below 1 raises at the
+    serialization, which pins golden files.  A size below 1, or one whose
+    deepest tree has no depth string (n - 1 > 1,114,111), raises at the
     call, not at the first step.
     """
     if n < 1:
         raise ValueError("size must be positive")
+    if n - 1 > _MAX_DEPTH:
+        raise CapacityError(f"size {n}: trees deeper than {_MAX_DEPTH:,} have no depth string")
     return _dyck_trees(n - 1, odd_returns=True)
 
 

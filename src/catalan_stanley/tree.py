@@ -12,17 +12,27 @@ subtrees of the rightmost leaf's grandparent are deleted, which shortens
 that branch's rightmost path by two.  The age of a tree is the number of
 reductions needed to reach the single-node tree.
 
-A tree is held as its balanced-parentheses word and a Dyck path as its word
-over ``(`` (+1) and ``)`` (-1), and every operation reads those words: the
-glove bijection drops or adds the root's pair, and a root branch's marked
-leaf sits at the depth of the run of ``)`` that closes the branch.
+A tree has two encodings, and holds one of them or both.  Its word has one
+``()`` pair per node in preorder; its depth string has one character per
+node in preorder, ``chr(depth)``, so the root is ``"\\x00"``.  Each is
+derived from the other on first use and then kept.  The word serves
+output, hashing and the glove bijection, which drops or adds the root's
+pair; a Dyck path is held as its word over ``(`` (+1) and ``)`` (-1).  The
+depth string serves membership, `age` and `reduce`: splitting it after the
+first root child at every ``"\\x01"`` gives each root branch's nodes below
+its root child, the last of them is the branch's marked leaf, and the
+leaf's grandparent is the last node before it at two levels up.
+
+``chr`` stops at 0x10FFFF, so membership, `age` and `reduce` raise
+`CapacityError` on a tree deeper than 1,114,111; its word, and with it
+``serialize``, ``==``, ``hash`` and ``size``, work at any depth.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import MalformedPathError, NotCatalanStanleyError, TreeParseError
+from .errors import CapacityError, MalformedPathError, NotCatalanStanleyError, TreeParseError
 
 __all__ = [
     "PlaneTree",
@@ -42,45 +52,87 @@ _UD = str.maketrans("()", "UD")  # a path's word as a word over {U, D}
 
 
 class PlaneTree:
-    """Immutable rooted ordered tree, held as its balanced-parentheses word.
+    """Immutable rooted ordered tree, held as its word, its depth string or both.
 
     The word has one ``()`` pair per node, in preorder, and a node's children
-    are the balanced factors between its parentheses.  Equality, hashing and
-    size are string operations, so they work on arbitrarily deep trees.
+    are the balanced factors between its parentheses.  The depth string has
+    one character per node, in preorder, ``chr`` of its depth.  A missing
+    encoding is derived from the other on first use and kept; a race between
+    threads only stores the same string twice.  Equality compares depth
+    strings when both trees hold one and words otherwise, hashing is the
+    word's hash and size reads whichever is held, so they are string
+    operations that work on arbitrarily deep trees.
     """
 
-    __slots__ = ("_word",)
+    __slots__ = ("_word", "_depths")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
-        self._word = "(" + "".join(c._word for c in children) + ")"
+        self._word = "(" + "".join(c.serialize() for c in children) + ")"
+        self._depths = None
 
     @staticmethod
-    def _of(word: str) -> "PlaneTree":
-        """The tree of a word already known to be balanced with one root."""
+    def _of(word: str | None, depths: str | None = None) -> "PlaneTree":
+        """The tree of a word known to be balanced with one root, of a depth
+        string known to be a preorder level sequence, or of both."""
         tau = _new(PlaneTree)
         tau._word = word
+        tau._depths = depths
         return tau
+
+    def _depth_string(self) -> str:
+        """One character per node in preorder, ``chr`` of its depth."""
+        depths = self._depths
+        if depths is None:
+            chars = []
+            depth = 0
+            try:
+                for ch in self._word:
+                    if ch == "(":
+                        chars.append(chr(depth))
+                        depth += 1
+                    else:
+                        depth -= 1
+            except ValueError:
+                raise CapacityError(
+                    f"tree is deeper than {_MAX_DEPTH:,}, the largest depth a depth string holds"
+                ) from None
+            depths = self._depths = "".join(chars)
+        return depths
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return self._word == other._word
+        if self._depths is not None and other._depths is not None:
+            return self._depths == other._depths
+        return self.serialize() == other.serialize()
 
     def __hash__(self) -> int:
-        return hash(self._word)
+        return hash(self.serialize())
 
     def size(self) -> int:
         """Number of nodes."""
-        return len(self._word) // 2
+        depths = self._depths
+        return len(self._word) // 2 if depths is None else len(depths)
 
     def serialize(self) -> str:
         """Balanced-parentheses word; one ``()`` pair per node, preorder."""
-        return self._word
+        word = self._word
+        if word is None:
+            # before a node at depth d opens, the last node (at depth `above`)
+            # and its ancestors down to depth d close
+            parts = []
+            above = -1
+            for depth in map(ord, self._depths):
+                parts.append(")" * (above + 1 - depth) + "(")
+                above = depth
+            parts.append(")" * (above + 1))
+            word = self._word = "".join(parts)
+        return word
 
     @property
     def children(self) -> tuple["PlaneTree", ...]:
         """Root-child subtrees, left to right: the word split at its returns to the root."""
-        word = self._word
+        word = self.serialize()
         out = []
         start = 1
         height = 0
@@ -93,10 +145,11 @@ class PlaneTree:
 
     @property
     def is_leaf(self) -> bool:
-        return self._word == "()"
+        depths = self._depths
+        return self._word == "()" if depths is None else depths == "\x00"
 
     def __repr__(self) -> str:
-        return f"PlaneTree({self._word!r})"
+        return f"PlaneTree({self.serialize()!r})"
 
 
 class DyckPath:
@@ -189,19 +242,12 @@ def parse_tree(text: str) -> PlaneTree:
 def is_catalan_stanley(tau: PlaneTree) -> bool:
     """True iff every root branch's rightmost leaf has odd depth.
 
-    The single-node tree belongs to the class.  One scan of the word stops
-    at the first run of ``)`` that returns to the root with even length.
+    The single-node tree belongs to the class.  A branch's rightmost leaf is
+    the last node of its piece of the depth string (see `_branches`).
     """
-    height = run = 0
-    for ch in tau._word[1:-1]:
-        if ch == "(":
-            height += 1
-            run = 0
-        else:
-            height -= 1
-            run += 1
-            if not height and not run % 2:
-                return False
+    for piece in _branches(tau):
+        if piece and not ord(piece[-1]) % 2:
+            return False
     return True
 
 
@@ -210,7 +256,7 @@ def tree_to_dyck(tau: PlaneTree) -> DyckPath:
 
     A tree's word is balanced, so the path is not checked again.
     """
-    return DyckPath._of(tau._word[1:-1])
+    return DyckPath._of(tau.serialize()[1:-1])
 
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
@@ -236,6 +282,19 @@ def has_odd_returns(path: DyckPath) -> bool:
 
 _NOT_MEMBER = "tree is not Catalan-Stanley (a branch's rightmost leaf has even depth)"
 
+# the largest depth `chr` encodes
+_MAX_DEPTH = 0x10FFFF
+
+
+def _branches(tau: PlaneTree) -> list[str]:
+    """Each root branch's nodes below its root child, as depth-string pieces.
+
+    The depth string after the root and the first root child, split at every
+    root child (``"\\x01"``).  A piece's last character is the depth d of
+    its branch's marked leaf; an empty piece is a leaf child, d = 1.
+    """
+    return tau._depth_string()[2:].split("\x01")
+
 
 def reduce(tau: PlaneTree) -> PlaneTree:
     """One growth step backwards.
@@ -244,54 +303,39 @@ def reduce(tau: PlaneTree) -> PlaneTree:
     other branch the marked leaf's grandparent loses all its subtrees and
     becomes the new marked leaf.  The single-node tree is a fixed point.
 
-    On the word, a branch closed by d ``)`` keeps its characters up to the
-    grandparent's ``(``, then ``()``, then the d-3 ``)`` above the grandparent.
-    One forward scan records the last ``(`` at each height, which is where
-    the grandparent opens when its branch closes, and checks membership at
-    each return to the root.
+    On the depth string, a branch whose marked leaf has depth d keeps its
+    nodes up to the last one at depth d - 2, the grandparent, since the
+    nodes after it in preorder are its descendants.  At d = 3 the
+    grandparent is the root child, which no piece holds, so ``rfind``
+    gives -1 and the branch keeps only its root child.  The result holds
+    only its depth string.
     """
-    word = tau._word
-    opens = [0] * (len(word) // 2)  # opens[h]: index of the last "(" that rose to height h
-    out, start = ["("], 1
-    height = run = 0
-    for i in range(1, len(word) - 1):
-        if word[i] == "(":
-            height += 1
-            run = 0
-            opens[height] = i
-        else:
-            height -= 1
-            run += 1
-            if not height:
-                if not run % 2:
-                    raise NotCatalanStanleyError(_NOT_MEMBER)
-                if run > 1:
-                    out += word[start : opens[run - 2]], "()", ")" * (run - 3)
-                start = i + 1
-    out.append(")")
-    return PlaneTree._of("".join(out))
+    kept = ["\x00"]
+    for piece in _branches(tau):
+        if piece:
+            d = ord(piece[-1])
+            if not d % 2:
+                raise NotCatalanStanleyError(_NOT_MEMBER)
+            kept.append(piece[: piece.rfind(chr(d - 2)) + 1])
+    return PlaneTree._of(None, "\x01".join(kept))
 
 
 def age(tau: PlaneTree) -> int:
     """Number of reductions until the single-node tree is reached.
 
-    Equals (1 + d)/2 where d is the maximum depth of the marked leaves.  One
-    scan of the word finds d, the longest run of ``)`` that returns to the
-    root, and raises at the first even one.
+    Equals (1 + d)/2 where d is the maximum depth of the marked leaves, the
+    last characters of the pieces of `_branches`; raises at the first even one.
     """
-    deepest = height = run = 0
-    for ch in tau._word[1:-1]:
-        if ch == "(":
-            height += 1
-            run = 0
-        else:
-            height -= 1
-            run += 1
-            if not height:
-                if not run % 2:
-                    raise NotCatalanStanleyError(_NOT_MEMBER)
-                if run > deepest:
-                    deepest = run
+    if tau.is_leaf:
+        return 0
+    deepest = 1
+    for piece in _branches(tau):
+        if piece:
+            d = ord(piece[-1])
+            if not d % 2:
+                raise NotCatalanStanleyError(_NOT_MEMBER)
+            if d > deepest:
+                deepest = d
     return (1 + deepest) // 2
 
 

@@ -170,8 +170,9 @@ def _census(n: int) -> _Census:
     all_valid = roundtrip_ok = age_match = closure_ok = contraction_ok = True
     age_formula: Counter = Counter()
     chains: Counter = Counter()
-    # the chain from each distinct first ancestor down, keyed by its
-    # serialization; closure and contraction along it are checked once
+    # the chain from each distinct first ancestor down, keyed by its depth
+    # string (one character per node); closure and contraction along it are
+    # checked once
     chain_from: dict[str, tuple[int, ...]] = {}
     count = 0
     for tau in enumerate_trees(n):
@@ -184,10 +185,10 @@ def _census(n: int) -> _Census:
         by_formula = tree_ops.age(tau)
         age_formula[by_formula] += 1
         first = tree_ops.reduce(tau)
-        key = first.serialize()
-        contraction_ok &= _contracts(n, len(key) // 2)
+        key = first._depth_string()
+        contraction_ok &= _contracts(n, len(key))
         if key not in chain_from:
-            sizes = [len(key) // 2]
+            sizes = [len(key)]
             current = first
             # a chain that leaves the class stops there: `reduce` is not defined past it
             while is_catalan_stanley(current) and not current.is_leaf:

@@ -26,11 +26,11 @@ from catalan_stanley.enumeration import (
     sample_reduced_sizes,
     sample_trees,
 )
-from catalan_stanley.errors import SamplingError
+from catalan_stanley.errors import CapacityError, SamplingError
 from catalan_stanley.stats import ancestor_distribution, max_ancestor_size
 from catalan_stanley.tree import DyckPath, PlaneTree, age, has_odd_returns, is_catalan_stanley
 
-from tree_shapes import chain, star
+from tree_shapes import chain, depth_string, star
 
 
 PIN_SEEDS = (0, 7, 2**63 + 5, 2**64 - 1)
@@ -108,6 +108,12 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_trees(0)
 
+    def test_past_the_depth_string_bound_rejected(self):
+        with pytest.raises(CapacityError, match="deeper than 1,114,111"):
+            enumerate_trees(0x10FFFF + 2)  # at the call: its first tree is a chain that deep
+        first = next(enumerate_trees(0x10FFFF + 1))
+        assert first._depths == "".join(map(chr, range(0x10FFFF + 1)))
+
 
 def _balanced_words(semilength):
     """Balanced words over {(, )} of the given semilength, in lex order: every
@@ -136,6 +142,15 @@ class TestIndependentRoute:
         expected = [list(_dyck_trees(*case)) for case in cases]
         monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
         assert [list(_dyck_trees(*case)) for case in cases] == expected
+
+    @pytest.mark.parametrize("tail", [1, 2, 5, 10])
+    def test_depth_strings_match_the_words(self, tail, monkeypatch):
+        """The walk and the table fill each tree's depth string; it is the
+        one the word gives, on both sides of the cut."""
+        monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
+        for n in range(1, 13):
+            for tau in itertools.chain(enumerate_trees(n), plane_trees(n)):
+                assert tau._depths == depth_string(tau._word)
 
     def test_memory_does_not_grow_with_size(self):
         """The walk holds one prefix; the completion table is fixed at import."""

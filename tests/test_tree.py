@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from catalan_stanley.errors import (
+    CapacityError,
     MalformedPathError,
     NotCatalanStanleyError,
     TreeParseError,
@@ -23,7 +24,14 @@ from catalan_stanley.tree import (
 )
 from catalan_stanley.enumeration import enumerate_trees, plane_trees
 
-from tree_shapes import broom, chain, marked_leaf_depths, reference_reduce, star
+from tree_shapes import (
+    broom,
+    chain,
+    depth_string,
+    marked_leaf_depths,
+    reference_reduce,
+    star,
+)
 
 # re-derived from the bijection figure: a 20-step path with three odd
 # returns and the 11-node tree it folds into
@@ -172,6 +180,66 @@ class TestWord:
 
     def test_children_keyword(self):
         assert PlaneTree(children=(chain(2), PlaneTree())) == parse_tree("((())())")
+
+
+def encodings(word, depths):
+    """Fresh trees of one shape that hold its word, its depth string, or both."""
+    return [PlaneTree._of(word), PlaneTree._of(None, depths), PlaneTree._of(word, depths)]
+
+
+def assert_encodings_agree(tau):
+    """Every pair of encodings of one shape is equal with equal hashes, and
+    unequal to every encoding of the shape with one more root child."""
+    word = tau.serialize()
+    depths = depth_string(word)
+    other = (word[:-1] + "())", depths + "\x01")
+    for i in range(3):
+        for j in range(3):
+            assert encodings(word, depths)[i] == encodings(word, depths)[j]
+            assert encodings(word, depths)[i] != encodings(*other)[j]
+        fresh = encodings(word, depths)[i]
+        assert hash(fresh) == hash(word)
+        assert fresh.size() == tau.size()
+        assert fresh.is_leaf == tau.is_leaf
+
+
+class TestEncodings:
+    """A tree may hold its word, its depth string or both; the encodings
+    agree on every operation that reads either."""
+
+    @pytest.mark.parametrize(
+        "tau",
+        [PlaneTree(), chain(2), chain(10**4), star(5)]
+        + [broom(h, b) for h, b in ((1, 3), (2, 3), (10**4, 5), (5, 10**4))],
+    )
+    def test_shapes(self, tau):
+        assert_encodings_agree(tau)
+
+    @given(deep_tree_strategy())
+    @settings(max_examples=20, deadline=None)
+    def test_deep_trees(self, tau):
+        assert_encodings_agree(tau)
+
+    def test_chr_bound_is_a_capacity_error(self):
+        """A chain one level deeper than `chr` reaches fails membership,
+        `age` and `reduce` plainly; its word still serves the rest."""
+        nodes = 0x10FFFF + 2  # the last node sits at depth 1,114,112
+        word = "(" * nodes + ")" * nodes
+        tau = PlaneTree._of(word)
+        for op in (is_catalan_stanley, age, reduce, lambda t: ancestor(t, 1)):
+            with pytest.raises(CapacityError, match="deeper than 1,114,111"):
+                op(tau)
+        assert tau.serialize() == word
+        assert tau.size() == nodes
+        assert hash(tau) == hash(word)
+        assert tau == PlaneTree._of(word) and tau != PlaneTree._of(word[1:-1])
+
+    def test_chr_bound_is_reached(self):
+        nodes = 0x10FFFF + 1  # the last node sits at depth 1,114,111
+        tau = PlaneTree._of("(" * nodes + ")" * nodes)
+        assert is_catalan_stanley(tau)
+        assert age(tau) == nodes // 2
+        assert reduce(tau).serialize() == "(" * (nodes - 2) + ")" * (nodes - 2)
 
 
 class TestDyckPath:
@@ -402,6 +470,18 @@ class TestReduceReference:
         assert_reduces_like_reference(tau)
 
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_census_chains(self, n):
+        """Every tree of a reduction chain holds only its depth string, and
+        it serializes to the word the reference gives."""
+        for tau in enumerate_trees(n):
+            while not tau.is_leaf:
+                expected = reference_reduce(tau).serialize()
+                tau = reduce(tau)
+                assert tau._word is None
+                assert tau.serialize() == expected
+
+
 def assert_reduces_like_reference(tau):
     """Members reduce as the reference does; every operation rejects the rest."""
     try:
@@ -478,3 +558,52 @@ class TestAncestor:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             ancestor(PlaneTree(), -1)
+
+
+def pair_spine_segments(plane):
+    """A plane tree's root children split after each leaf child ("mark"):
+    lists of the children of size >= 2 ("pairs"); the root ends the last list."""
+    segments, current = [], []
+    for child in plane.children:
+        if child.is_leaf:
+            segments.append(current)
+            current = []
+        else:
+            current.append(child)
+    segments.append(current)
+    return segments
+
+
+def pair_spine_image(segments):
+    """The Catalan-Stanley tree with one root branch per segment.
+
+    A pair ((A)B), A its first child's children, becomes "(A(B": its first
+    "(" dropped, the ")" that closes A turned into "(", its last ")"
+    dropped.  A segment of j pairs then ends in the marked leaf "()" and
+    2j closing parentheses, at depth 2j + 1.
+    """
+    branches = []
+    for pairs in segments:
+        parts = []
+        for pair in pairs:
+            first, *rest = pair.children
+            rest_word = "".join(c.serialize() for c in rest)
+            parts.append("(" + first.serialize()[1:-1] + "(" + rest_word)
+        branches.append("".join(parts) + "()" + ")" * (2 * len(pairs)))
+    return parse_tree("(" + "".join(branches) + ")")
+
+
+class TestPairSpineOracle:
+    """`reduce` against the pair-spine bijection from plane trees on n-1
+    nodes: one reduction removes the last pair of every segment and drops
+    the segments that have none."""
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_reduce_removes_each_segments_last_pair(self, n):
+        segments = [pair_spine_segments(p) for p in plane_trees(n - 1)]
+        images = [pair_spine_image(s) for s in segments]
+        assert len(set(images)) == len(images)
+        words = sorted(t.serialize() for t in images)
+        assert words == [t.serialize() for t in enumerate_trees(n)]
+        for image, segs in zip(images, segments):
+            assert reduce(image) == pair_spine_image([s[:-1] for s in segs if s])

@@ -1,5 +1,7 @@
 """Hand-built tree shapes that the tests use as fixed examples."""
 
+import itertools
+
 from catalan_stanley.tree import PlaneTree, parse_tree
 
 
@@ -59,3 +61,10 @@ def reference_reduce(tau: PlaneTree) -> PlaneTree:
             node = PlaneTree(above.children[:-1] + (node,))
         kept.append(node)
     return PlaneTree(kept)
+
+
+def depth_string(word: str) -> str:
+    """A word's depth string, from its prefix sums: the node whose "(" sits
+    at position i has the depth the word has climbed to before i."""
+    heights = itertools.accumulate((1 if ch == "(" else -1 for ch in word), initial=0)
+    return "".join(chr(h) for ch, h in zip(word, heights) if ch == "(")
