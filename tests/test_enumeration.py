@@ -110,7 +110,7 @@ class TestEnumerate:
 
     def test_past_the_depth_string_bound_rejected(self):
         with pytest.raises(CapacityError, match="deeper than 1,114,111"):
-            enumerate_trees(0x10FFFF + 2)  # at the call: its first tree is a chain that deep
+            enumerate_trees(0x10FFFF + 2)  # at the call; the walk would climb to depth 1,114,112
         first = next(enumerate_trees(0x10FFFF + 1))
         assert first._depths == "".join(map(chr, range(0x10FFFF + 1)))
 

@@ -221,8 +221,8 @@ class TestEncodings:
         assert_encodings_agree(tau)
 
     def test_chr_bound_is_a_capacity_error(self):
-        """A chain one level deeper than `chr` reaches fails membership,
-        `age` and `reduce` plainly; its word still serves the rest."""
+        """On a chain one level deeper than `chr` reaches, membership, `age`
+        and `reduce` raise `CapacityError`; its word still serves the rest."""
         nodes = 0x10FFFF + 2  # the last node sits at depth 1,114,112
         word = "(" * nodes + ")" * nodes
         tau = PlaneTree._of(word)
@@ -468,7 +468,6 @@ class TestReduceReference:
     @settings(max_examples=20, deadline=None)
     def test_deep_trees(self, tau):
         assert_reduces_like_reference(tau)
-
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_census_chains(self, n):
