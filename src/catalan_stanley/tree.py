@@ -58,9 +58,8 @@ class PlaneTree:
     are the balanced factors between its parentheses.  The depth string has
     one character per node, in preorder, ``chr`` of its depth.  A missing
     encoding is derived from the other on first use and kept; a race between
-    threads only stores the same string twice.  Equality compares depth
-    strings when both trees hold one and words otherwise, hashing is the
-    word's hash and size reads whichever is held, so they are string
+    threads only stores the same string twice.  Equality and hashing are the
+    word's and size reads whichever encoding is held, so they are string
     operations that work on arbitrarily deep trees.
     """
 
@@ -102,8 +101,6 @@ class PlaneTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        if self._depths is not None and other._depths is not None:
-            return self._depths == other._depths
         return self.serialize() == other.serialize()
 
     def __hash__(self) -> int:
@@ -145,8 +142,7 @@ class PlaneTree:
 
     @property
     def is_leaf(self) -> bool:
-        depths = self._depths
-        return self._word == "()" if depths is None else depths == "\x00"
+        return self.size() == 1
 
     def __repr__(self) -> str:
         return f"PlaneTree({self.serialize()!r})"

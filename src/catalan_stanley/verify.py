@@ -186,9 +186,9 @@ def _census(n: int) -> _Census:
         age_formula[by_formula] += 1
         first = tree_ops.reduce(tau)
         key = first._depth_string()
-        contraction_ok &= _contracts(n, len(key))
+        contraction_ok &= _contracts(n, first.size())
         if key not in chain_from:
-            sizes = [len(key)]
+            sizes = [first.size()]
             current = first
             # a chain that leaves the class stops there: `reduce` is not defined past it
             while is_catalan_stanley(current) and not current.is_leaf:
