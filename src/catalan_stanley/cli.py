@@ -24,8 +24,9 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees at about 3 us each: size 16 (C(14), about
-# 2.7 million trees) takes about 7 s, size 25 would take about ten days.
+# `enumerate` prints C(n-2) trees at about 2.2-2.6 us each: size 16 (C(14),
+# about 2.7 million trees) takes about 6-7 s, size 25 would take about ten
+# days (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2.0-2.3 s (2-vCPU VM, Python 3.11), most of it one gcd per line.
@@ -44,13 +45,13 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # request (100 of them) 4.4 s and 59 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 0.5-0.9 s and at --max-size 14
-# about 2.5-3.5 s: the census of size 14 alone takes about 2 s of it, and
-# each extra size about 4x more.  The series layer (--max-r half the order)
-# takes 1.2 s at order 64, 2.7 s at 80 and 12 s at 128; all three caps
-# together take about 4-5.5 s (2-vCPU VM, Python 3.11).  Past r = order/2 no tree of the
-# series or of the census has that age, so a larger --max-r only repeats
-# checks.
+# `verify` at default scope takes about 0.85-0.95 s and at --max-size 14
+# about 2.0-2.7 s: the census of size 14 alone takes about 1.3-1.4 s of it,
+# and each extra size about 4x more.  The series layer (--max-r half the
+# order) takes 1.2 s at order 64, 2.7 s at 80 and 12 s at 128; all three
+# caps together take about 5.2-5.8 s (2-vCPU VM, Python 3.11).  Past
+# r = order/2 no tree of the series or of the census has that age, so a
+# larger --max-r only repeats checks.
 MAX_VERIFY_SIZE = 14
 MAX_VERIFY_ORDER = 80
 MAX_VERIFY_R = MAX_VERIFY_ORDER // 2
@@ -104,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed s --count c followed by --seed s+c is one longer run"
         ),
     )
-    p_sample.add_argument("--max-rejections", type=int, default=1000)
     p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p_age = sub.add_parser("age", help="age distribution or asymptotics")
@@ -198,7 +198,7 @@ def _cmd_sample(args, out) -> int:
     if args.count < 0:
         raise ValueError("sample --count must be nonnegative")
     words = [
-        sample_trees(args.size, 1, args.seed + i, args.max_rejections)[0].serialize()
+        sample_trees(args.size, 1, args.seed + i)[0].serialize()
         for i in range(args.count)
     ]
     if args.format == "json":

@@ -248,12 +248,16 @@ def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
     return total
 
 
-def sample_trees(
-    size: int, count: int, seed: int = 0, max_rejections: int = 1000
-) -> list[PlaneTree]:
+# Paths `sample_trees` may draw per tree asked for.  A path is kept with
+# probability C(n-2)/C(n-1) >= 1/4, so a call runs out of draws with
+# probability below (3/4)^1000: the budget only guards against a hang.
+_DRAWS_PER_TREE = 1000
+
+
+def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     """`count` uniform Catalan-Stanley trees of the given size, deterministic per seed.
 
-    Accepted paths are kept in draw order; at most count * max_rejections
+    Accepted paths are kept in draw order; at most count * _DRAWS_PER_TREE
     paths are drawn.  A round draws at most 2^21 steps (one path, if a
     path is longer) and never more paths than trees are still needed, so
     memory stays bounded at every size.  The rows of a round are shuffled
@@ -264,8 +268,6 @@ def sample_trees(
         raise ValueError("size must be positive")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 unsigned bits")
-    if max_rejections < 1:
-        raise ValueError("max_rejections must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
     if size == 1:
@@ -274,7 +276,7 @@ def sample_trees(
     step_chars = bytes.maketrans(b"\x01\xff", b"()")  # int8 +1 / -1 steps as bytes
     round_cap = max(1, 2**21 // (2 * size - 1))
     out: list[PlaneTree] = []
-    draws = count * max_rejections
+    draws = count * _DRAWS_PER_TREE
     draws_left = draws
     while len(out) < count and draws_left > 0:
         rows = min(draws_left, count - len(out), round_cap)

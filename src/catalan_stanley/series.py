@@ -218,8 +218,8 @@ class BivariateSeries:
         return out
 
     @classmethod
-    def monomial(cls, i: int, j: int, order: int, value=1) -> "BivariateSeries":
-        return cls({(i, j): value}, order)
+    def monomial(cls, i: int, j: int, order: int) -> "BivariateSeries":
+        return cls({(i, j): 1}, order)
 
     @property
     def order(self) -> int:
@@ -249,12 +249,6 @@ class BivariateSeries:
             [a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter) :]),
             self._order,
         )
-
-    def __neg__(self):
-        return self._of_rows([-row for row in self._rows], self._order)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Product with an integer scalar."""

@@ -168,9 +168,9 @@ class DistributionTable:
 
     counts[i] is the number of size-n trees whose value is support[i]; the
     counts add up to the number of size-n trees, the denominator of every
-    mass.  `masses`, `mass`, `mean` and `variance` return Fractions; the
-    printed forms (`lines`, `to_csv`, `to_json`) reduce each mass by one gcd
-    and print it as str(Fraction) would, without building one.
+    mass.  `masses`, `mean` and `variance` return Fractions; the printed
+    forms (`lines`, `to_json`) reduce each mass by one gcd and print it as
+    str(Fraction) would, without building one.
     """
 
     size_n: int
@@ -219,11 +219,6 @@ class DistributionTable:
         total = self._total
         return tuple(Fraction(c, total) for c in self.counts)
 
-    def mass(self, value: int) -> Fraction:
-        if value not in self.support:
-            return Fraction(0)
-        return Fraction(self.counts[self.support.index(value)], self._total)
-
     def mean(self) -> Fraction:
         first = sum(v * c for v, c in zip(self.support, self.counts))
         return Fraction(first, self._total)
@@ -247,9 +242,6 @@ class DistributionTable:
                 yield f"{v} {_fraction_text(a, b)}"
         else:
             raise ValueError("fmt must be 'csv' or 'text'")
-
-    def to_csv(self) -> str:
-        return "\n".join(self.lines("csv"))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -322,7 +314,8 @@ def _ancestor_counts(n: int, r: int) -> dict[int, int]:
     [z^{m-1-b}] D_b shapes, D_b = (1-T^2)^{-b}, and each grows back to size
     n in [z^{n-m+b}] A_b ways, A_b = W u^b.  A_b has valuation b(2r+1), so the
     sum stops once that passes n-1, the highest degree read, and D_b is
-    only read up to degree n-1-b(2r+1).
+    only read up to degree n-1-b(2r+1).  The keys come in ascending order:
+    m = 1, then every m up to n-2r at b = 1, which later b only revisit.
     """
     t = _series.series_T(n - 1)
     t_pow = t ** (2 * r)
@@ -350,5 +343,4 @@ def ancestor_distribution(n: int, r: int) -> DistributionTable:
     if r == 0:
         return DistributionTable(n, "ancestor", 0, (n,), (catalan(n - 2),))
     counts = _ancestor_counts(n, r)
-    support = tuple(sorted(counts))
-    return DistributionTable(n, "ancestor", r, support, tuple(counts[m] for m in support))
+    return DistributionTable(n, "ancestor", r, tuple(counts), tuple(counts.values()))

@@ -6,10 +6,9 @@ series engine, the binomial sums, and the sampler.  This module runs all
 of those comparisons and reports each as a named check; the CLI `verify`
 subcommand maps a failed check to a nonzero exit status.  The checks of
 the limit constants compare rationals: printed digits are parsed as
-`Fraction`s and the second-moment sum over h(r) is taken in fixed point,
-and the survival expansion h(r) - g(r)/n is held to its error term
-against exact counts.  The sampler checks read their chi-square p-values
-from the closed form of the upper tail for integer df.
+`Fraction`s, and the survival expansion h(r) - g(r)/n is held to its
+error term against exact counts.  The sampler checks read their
+chi-square p-values from the closed form of the upper tail for integer df.
 """
 
 from __future__ import annotations
@@ -410,20 +409,6 @@ def _check_asymptotics_layer(report: VerifyReport, max_r: int) -> None:
     )
     report.add("survival_expansion", f"ladder={_LADDER} r<={max_r}", f"{float(worst):.4f}",
                "<=1", worst <= 1)
-
-    # sum (2r-1) h(r) for r < 200 in fixed point: floor(h(r) * 10^45), each under one unit low
-    scale = 10**45
-    second_moment = Fraction(sum(
-        (2 * r - 1) * (h.numerator * scale // h.denominator)
-        for r, h in enumerate(map(asymptotics.survival_leading, range(1, 200)), start=1)
-    ), scale)
-    c0, c2 = (Fraction(asymptotics.constant_digits(i, 40)) for i in (0, 2))
-    report.add(
-        "c2_consistency",
-        "tail<1e-40",
-        abs((second_moment - c0 * c0) - c2) < Fraction(1, 10**25),
-        True,
-    )
 
     c0, c1, c2, c3 = (Fraction(asymptotics.constant_digits(i, 40)) for i in range(4))
     mean_errors = [abs(expected_age(n) - (c0 + c1 / n)) for n in _LADDER]

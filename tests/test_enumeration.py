@@ -199,10 +199,11 @@ class TestSampleTree:
         assert set(hits) == {star_word, chain_word}
         assert abs(hits[star_word] / 10000 - 0.5) < 0.02
 
-    def test_rejection_budget_exhausted(self):
+    def test_rejection_budget_exhausted(self, monkeypatch):
         # seed 0 rejects its first draw at size 12
+        monkeypatch.setattr(catalan_stanley.enumeration, "_DRAWS_PER_TREE", 1)
         with pytest.raises(SamplingError, match="accepted 0 of 1 .* size 12 in 1 draws"):
-            sample_trees(12, 1, 0, max_rejections=1)
+            sample_trees(12, 1, 0)
 
 
 class TestSampleTrees:
@@ -228,7 +229,6 @@ class TestSampleTrees:
             dict(size=5, count=-1),
             dict(size=5, count=3, seed=-1),
             dict(size=5, count=3, seed=2**64),
-            dict(size=5, count=3, max_rejections=0),
         ],
     )
     def test_validation(self, args):
@@ -243,17 +243,17 @@ class TestSampleTrees:
     @pytest.mark.parametrize(
         "args,digest",
         [
-            ((2, 3, 0, 1000), "e98a740256966408b25ef040155674d4404d8a89b0fe76f350348ba9c944ebfa"),
-            ((7, 5, 3, 1000), "c84c554fac954751107aa58bf5ac5098b6c827209385f5edcdf1ebe6bd4d50b7"),
-            ((20, 3, 1, 3), "ea113de337f08d694e94851c6081432dec7f479362417e1b75ee9f36d3c7f099"),
-            ((30, 3, 9, 1000), "8d388bb8f761d5a61ad0912732ff35cb6b96c6c8173585806fa7ab0199fb5948"),
-            ((150, 2, 1, 1000), "fce65d752aa6aa4cc8af0acce8370a8e848b21b16ec2a64d8221789db805a7fa"),
-            ((400, 1, 2, 1000), "54e1a1f6495ae8ca803d77d1417b3e97ef9a900103fa7ec2bbf5bed98e58e319"),
+            ((2, 3, 0), "e98a740256966408b25ef040155674d4404d8a89b0fe76f350348ba9c944ebfa"),
+            ((7, 5, 3), "c84c554fac954751107aa58bf5ac5098b6c827209385f5edcdf1ebe6bd4d50b7"),
+            ((20, 3, 1), "ea113de337f08d694e94851c6081432dec7f479362417e1b75ee9f36d3c7f099"),
+            ((30, 3, 9), "8d388bb8f761d5a61ad0912732ff35cb6b96c6c8173585806fa7ab0199fb5948"),
+            ((150, 2, 1), "fce65d752aa6aa4cc8af0acce8370a8e848b21b16ec2a64d8221789db805a7fa"),
+            ((400, 1, 2), "54e1a1f6495ae8ca803d77d1417b3e97ef9a900103fa7ec2bbf5bed98e58e319"),
         ],
     )
     def test_pinned_output(self, args, digest):
-        """sha256 of the serialized trees, one per line, for (size, count, seed,
-        max_rejections); recorded when the sampler drew 1024 paths a round."""
+        """sha256 of the serialized trees, one per line, for (size, count, seed);
+        recorded when the sampler drew 1024 paths a round."""
         words = "\n".join(t.serialize() for t in sample_trees(*args))
         assert hashlib.sha256(words.encode()).hexdigest() == digest
 
@@ -271,9 +271,10 @@ class TestSampleTrees:
             "5831765ad6288668dfcc8606a77f8b78c2b233d5a861a8cfe78fb0d2b57bfcde"
         )
 
-    def test_pinned_budget_error(self):
+    def test_pinned_budget_error(self, monkeypatch):
+        monkeypatch.setattr(catalan_stanley.enumeration, "_DRAWS_PER_TREE", 3)
         with pytest.raises(SamplingError, match="accepted 2 of 4 .* size 12 in 12 draws"):
-            sample_trees(12, 4, 5, max_rejections=3)
+            sample_trees(12, 4, 5)
 
     def test_large_size_memory_is_bounded(self):
         """Two trees of size 10^4 draw only the paths they need; a fixed round of
