@@ -45,11 +45,14 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # request (100 of them) 4.4 s and 59 MiB.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` at default scope takes about 0.85-0.95 s and at --max-size 14
-# about 2.0-2.7 s: the census of size 14 alone takes about 1.3-1.4 s of it,
+# `verify` runs its series, asymptotics and sampler layers in a second
+# process beside the census where two CPUs are usable.  As a fresh process
+# it takes about 0.4-0.6 s at default scope and about 2.2-2.8 s at
+# --max-size 14, where the census of size 14 alone takes about 1.3-1.4 s
 # and each extra size about 4x more.  The series layer (--max-r half the
 # order) takes 1.2 s at order 64, 2.7 s at 80 and 12 s at 128; all three
-# caps together take about 5.2-5.8 s (2-vCPU VM, Python 3.11).  Past
+# caps together take about 2.8-3.5 s (2-vCPU VM, Python 3.11).  Run
+# serially, as on one CPU, the three take about 0.7, 2.7 and 3.9 s.  Past
 # r = order/2 no tree of the series or of the census has that age, so a
 # larger --max-r only repeats checks.
 MAX_VERIFY_SIZE = 14

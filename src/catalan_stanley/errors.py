@@ -17,8 +17,12 @@ class TreeParseError(ValueError):
     """
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (offset {offset})")
+        # both arguments stay in `args`, so the error pickles and unpickles whole
+        super().__init__(message, offset)
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (offset {self.offset})"
 
 
 class MalformedPathError(ValueError):

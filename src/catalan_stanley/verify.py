@@ -9,6 +9,15 @@ the limit constants compare rationals: printed digits are parsed as
 `Fraction`s, and the survival expansion h(r) - g(r)/n is held to its
 error term against exact counts.  The sampler checks read their
 chi-square p-values from the closed form of the upper tail for integer df.
+
+The tree and stats layers read the census, which is cached per size in
+the calling process.  The series, asymptotics and sampler layers read
+none of it, so where two CPUs or more are usable, the fork start method
+exists and no other thread is alive, `run_verification` runs them in one
+forked worker process while the caller runs the census layers, then
+appends the worker's checks in their serial order; if the worker dies,
+the caller runs its layers.  Otherwise all five run in the caller, one
+after another.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -495,8 +506,45 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     report.add("reduced_size_sampler(9,1)", f"draws={draws}", p_value >= 0.001, True)
 
 
+def _census_free_checks(max_r: int, order: int) -> list[Check]:
+    """The series, asymptotics and sampler layers, which read no census but
+    `reduced_size_bijection`'s sizes up to 10."""
+    report = VerifyReport()
+    _check_series_layer(report, max_r, order)
+    _check_asymptotics_layer(report, max_r)
+    _check_sampler_layer(report)
+    return report.checks
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_pool():
+    """One forked worker process, or None where the layers should run serially:
+    a single usable CPU, no fork start method, or other live threads, which a
+    fork can deadlock.  Only a fork carries the module state, patches included,
+    into the worker."""
+    if _usable_cpus() < 2 or threading.active_count() > 1:
+        return None
+    # imported here, not with the module: it would add about 18 ms to every import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+
+
 def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> VerifyReport:
-    """Run the whole invariant suite; see the CLI `verify` subcommand."""
+    """Run the whole invariant suite; see the CLI `verify` subcommand.
+
+    The checks, their order and any error a layer raises are those of a
+    serial run, whichever process ran the layer.
+    """
     if max_size < 4:
         raise ValueError("max_size must be at least 4")
     if max_r < 1:
@@ -504,9 +552,20 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     if order < 4:
         raise ValueError("order must be at least 4")
     report = VerifyReport()
-    _check_tree_layer(report, max_size)
-    _check_stats_layer(report, max_size, max_r)
-    _check_series_layer(report, max_r, order)
-    _check_asymptotics_layer(report, max_r)
-    _check_sampler_layer(report)
+    pool = _fork_pool()
+    if pool is None:
+        _check_tree_layer(report, max_size)
+        _check_stats_layer(report, max_size, max_r)
+        report.checks += _census_free_checks(max_r, order)
+        return report
+    from concurrent.futures import BrokenExecutor
+
+    with pool:
+        rest = pool.submit(_census_free_checks, max_r, order)
+        _check_tree_layer(report, max_size)
+        _check_stats_layer(report, max_size, max_r)
+        try:
+            report.checks += rest.result()
+        except BrokenExecutor:  # the worker died (a signal, say): run its layers here
+            report.checks += _census_free_checks(max_r, order)
     return report

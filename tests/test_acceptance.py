@@ -35,6 +35,7 @@ from catalan_stanley.stats import (
     expected_age,
     expected_age_via_survivals,
     expected_ancestor_size,
+    max_ancestor_size,
 )
 from catalan_stanley.tree import dyck_to_tree, tree_to_dyck
 from catalan_stanley.verify import REFERENCE_CONSTANT_DIGITS
@@ -214,7 +215,8 @@ def test_criterion_8_ancestor_convergence_and_monte_carlo():
 
 def test_criterion_9_bijection_and_bounds(census):
     """Roundtrips up to size 12; age bounds hold and are attained; ancestor
-    bounds hold with the lower endpoint attained everywhere."""
+    bounds hold with the lower endpoint attained everywhere, and the largest
+    ancestor size is `max_ancestor_size`."""
     for n in range(1, 13):
         for tau in enumerate_trees(n):
             assert dyck_to_tree(tree_to_dyck(tau)) == tau
@@ -228,11 +230,13 @@ def test_criterion_9_bijection_and_bounds(census):
             assert sizes[0] == 1, (n, r)
             if r <= n // 2:
                 assert sizes[-1] <= upper, (n, r)
+                assert sizes[-1] == max_ancestor_size(n, r), (n, r)
             else:
                 assert sizes == [1], (n, r)
     report(
         "PASS: criterion 9 (bijection and bounds) roundtrip <=12; age bounds "
-        "attained; ancestor bounds hold, lower endpoint attained"
+        "attained; ancestor bounds hold, lower endpoint attained, upper at "
+        "max_ancestor_size"
     )
 
 

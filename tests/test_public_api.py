@@ -9,6 +9,7 @@ goes unwrapped.
 import importlib
 import inspect
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 import catalan_stanley
+from catalan_stanley import errors
 
 MODULES = [
     info.name for info in pkgutil.iter_modules(catalan_stanley.__path__, "catalan_stanley.")
@@ -66,3 +68,14 @@ def test_library_does_not_import_mpmath():
         check=True,
     )
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_errors_pickle_whole(name):
+    # an error raised in a worker process reaches the caller through pickle
+    cls = getattr(errors, name)
+    error = cls("bad", 3) if cls is errors.TreeParseError else cls("bad")
+    copy = pickle.loads(pickle.dumps(error))
+    assert (type(copy), str(copy), copy.args) == (cls, str(error), error.args)
+    if cls is errors.TreeParseError:
+        assert (str(copy), copy.offset) == ("bad (offset 3)", 3)
