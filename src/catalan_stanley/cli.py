@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 
 from . import asymptotics, stats, verify as verify_mod
 from .enumeration import count_trees, enumerate_trees, sample_trees
@@ -24,9 +25,10 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees at about 2.2-2.6 us each: size 16 (C(14),
-# about 2.7 million trees) takes about 6-7 s, size 25 would take about ten
-# days (2-vCPU VM, Python 3.11).
+# `enumerate` prints C(n-2) trees at about 0.6-0.8 us each: size 16 (C(14),
+# about 2.7 million trees) takes about 1.5-2.2 s and peaks at 31 MiB RSS as
+# a fresh process in every format, size 25 would take about three days
+# (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2.0-2.3 s (2-vCPU VM, Python 3.11), most of it one gcd per line.
@@ -42,7 +44,7 @@ MAX_ANCESTOR_SIZE = 480
 MAX_COUNT_SIZE = MAX_AGE_SIZE
 # `sample` draws about 0.45 us per node plus 0.35 ms per tree: one tree of
 # size 10^5 takes about 0.03 s (median over 12 seeds), and the largest
-# request (100 of them) 4.4 s and 59 MiB.
+# request (100 of them) 3.3-3.5 s and 59 MiB in every format.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` runs its series, asymptotics and sampler layers in a second
@@ -166,6 +168,25 @@ def _emit_distribution(table: stats.DistributionTable, fmt: str, out) -> None:
             out.write(f"{line}\n")
 
 
+def _emit_words(words, header: dict, fmt: str, out) -> None:
+    """Tree words one a line, or for "json" the bytes `json.dumps` prints
+    for the keys of `header` followed by the list "trees".  A size's words
+    share one length, so each `write` takes about 2^17 characters: a few
+    thousand words of an enumeration, one word of a large sample.  Neither
+    the list nor its text is held whole."""
+    words = iter(words)
+    per_write = max(1, 2**17 // (2 * header["size"] + 4))
+    chunks = iter(lambda: list(islice(words, per_write)), [])
+    if fmt == "json":
+        out.write(json.dumps(header)[:-1] + ', "trees": [')
+        for i, chunk in enumerate(chunks):
+            out.write((", " if i else "") + json.dumps(chunk)[1:-1])
+        out.write("]}\n")
+    else:
+        for chunk in chunks:
+            out.write("\n".join(chunk) + "\n")
+
+
 def _check_size_cap(command: str, value: int, cap: int, flag: str = "--size") -> None:
     if value > cap:
         raise CapacityError(f"{command} {flag} {value}: values up to {cap} are supported")
@@ -186,12 +207,7 @@ def _cmd_count(args, out) -> int:
 def _cmd_enumerate(args, out) -> int:
     _check_size_cap("enumerate", args.size, MAX_ENUMERATE_SIZE)
     words = (t.serialize() for t in enumerate_trees(args.size))
-    if args.format == "json":
-        print(json.dumps({"size": args.size, "trees": list(words)}), file=out)
-    else:
-        for w in words:
-            out.write(w)
-            out.write("\n")
+    _emit_words(words, {"size": args.size}, args.format, out)
     return 0
 
 
@@ -204,14 +220,7 @@ def _cmd_sample(args, out) -> int:
         sample_trees(args.size, 1, args.seed + i)[0].serialize()
         for i in range(args.count)
     ]
-    if args.format == "json":
-        print(
-            json.dumps({"size": args.size, "seed": args.seed, "trees": words}),
-            file=out,
-        )
-    else:
-        for w in words:
-            print(w, file=out)
+    _emit_words(words, {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 
 

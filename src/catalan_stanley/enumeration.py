@@ -270,8 +270,6 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
         raise ValueError("seed must fit in 64 unsigned bits")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if size == 1:
-        return [PlaneTree()] * count
     rng = np.random.default_rng(seed)
     step_chars = bytes.maketrans(b"\x01\xff", b"()")  # int8 +1 / -1 steps as bytes
     round_cap = max(1, 2**21 // (2 * size - 1))
@@ -405,6 +403,8 @@ def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np
     """
     if size < 1:
         raise ValueError("size must be positive")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 unsigned bits")
     if r < 0:
         raise ValueError("r must be nonnegative")
     if count < 0:

@@ -1,8 +1,8 @@
 """Exact age and ancestor statistics, computed as integer tree counts.
 
-Every pmf here is a count of trees over C(n-2); a probability or a moment
-becomes a Fraction only when it is read, and a printed pmf builds none (see
-`DistributionTable`).
+Every pmf here is a count of trees over the number of trees; a probability
+or a moment becomes a Fraction only when it is read, and a printed pmf
+builds none (see `DistributionTable`).
 
 The number f(n,r) of size-n trees of age >= r comes from a finite
 alternating binomial sum obtained by coefficient extraction.  With
@@ -19,9 +19,12 @@ under the convention binom(a,b) = 0 for b < 0 or b > a.  At n = 2 the one
 term, k = 1, has e = -1 and beta = 0: the constant term of (1+u)^-1, so
 the table is (1,).
 
-Summing f(n,r) over r collapses, via the signed divisor count
+The pmf telescopes: P(D_n = r) = (f(n,r) - f(n,r+1)) / #trees, where
+f(n,0) is the number of trees (`_tree_count`), so the single node of size
+1 takes the same route as every other size.  The variance is read off
+that pmf.  Summing f(n,r) over r collapses, via the signed divisor count
 theta(k) = (-1)^(k-1) sigma0_odd(k), to the closed form for the expected
-age; the second moment uses E(D^2) = sum (2r-1) P(D >= r).
+age.
 
 The pmf of the r-th ancestor size is a coefficient of the joint series
 G_r(z,v), read as a sum over ancestor shapes of products of univariate
@@ -52,6 +55,11 @@ __all__ = [
     "ancestor_distribution",
     "max_ancestor_size",
 ]
+
+
+def _tree_count(n: int) -> int:
+    """Number of size-n trees: the single node at n = 1, else C(n-2)."""
+    return catalan(n - 2) if n > 1 else 1
 
 
 def _extraction_table(n: int) -> tuple[int, ...]:
@@ -124,37 +132,25 @@ def expected_age(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("size must be positive")
-    if n == 1:
-        return Fraction(0)
     table = _extraction_table(n)
     total = 0
     for k in range(1, n):
         term = table[k - 1]
         if term:
             total += (-1) ** (k + 1) * odd_divisor_count(k) * term
-    return Fraction(total, catalan(n - 2))
+    return Fraction(total, _tree_count(n))
 
 
 def expected_age_via_survivals(n: int) -> Fraction:
     """Independent route: E D_n = sum_r P(D_n >= r)."""
     if n < 1:
         raise ValueError("size must be positive")
-    if n == 1:
-        return Fraction(0)
-    return Fraction(sum(_survival_counts(n)), catalan(n - 2))
+    return Fraction(sum(_survival_counts(n)), _tree_count(n))
 
 
 def age_variance(n: int) -> Fraction:
-    """V D_n from E(D^2) = sum_r (2r-1) P(D_n >= r)."""
-    if n < 1:
-        raise ValueError("size must be positive")
-    if n == 1:
-        return Fraction(0)
-    counts = _survival_counts(n)
-    total = catalan(n - 2)
-    first = sum(counts)
-    second = sum((2 * r - 1) * f for r, f in enumerate(counts, start=1))
-    return Fraction(total * second - first * first, total * total)
+    """V D_n, read off the exact pmf."""
+    return age_distribution(n).variance()
 
 
 def _fraction_text(numerator: str, denominator: str) -> str:
@@ -186,15 +182,10 @@ class DistributionTable:
             raise ValueError("support and counts differ in length")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative count")
-        if sum(self.counts) != self._total:
+        if sum(self.counts) != _tree_count(self.size_n):
             raise ValueError("counts must sum to the number of trees of size_n")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("support must be strictly ascending")
-
-    @property
-    def _total(self) -> int:
-        """C(n-2) trees of size n >= 2, and the single node."""
-        return catalan(self.size_n - 2) if self.size_n > 1 else 1
 
     def _mass_texts(self):
         """(value, numerator, denominator) of each reduced mass, as decimal text.
@@ -205,7 +196,7 @@ class DistributionTable:
         where an int's costs quadratic.  The context is private, so the
         caller's decimal context plays no part.
         """
-        total = self._total
+        total = _tree_count(self.size_n)
         ctx = decimal.Context(
             prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
         )
@@ -216,15 +207,15 @@ class DistributionTable:
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        total = self._total
+        total = _tree_count(self.size_n)
         return tuple(Fraction(c, total) for c in self.counts)
 
     def mean(self) -> Fraction:
         first = sum(v * c for v, c in zip(self.support, self.counts))
-        return Fraction(first, self._total)
+        return Fraction(first, _tree_count(self.size_n))
 
     def variance(self) -> Fraction:
-        total = self._total
+        total = _tree_count(self.size_n)
         first = sum(v * c for v, c in zip(self.support, self.counts))
         second = sum(v * v * c for v, c in zip(self.support, self.counts))
         return Fraction(total * second - first * first, total * total)
@@ -255,13 +246,12 @@ class DistributionTable:
 
 
 def age_distribution(n: int) -> DistributionTable:
-    """P(D_n = r) = (f(n,r) - f(n,r+1)) / C(n-2) over r in [1, floor(n/2)]."""
+    """P(D_n = r) = (f(n,r) - f(n,r+1)) / #trees over r in [0, floor(n/2)],
+    with f(n,0) the number of trees; only the single node has age 0."""
     if n < 1:
         raise ValueError("size must be positive")
-    if n == 1:
-        return DistributionTable(1, "age", None, (0,), (1,))
-    survivals = _survival_counts(n) + [0]
-    exact = {r: survivals[r - 1] - survivals[r] for r in range(1, n // 2 + 1)}
+    survivals = [_tree_count(n), *_survival_counts(n), 0]
+    exact = {r: survivals[r] - survivals[r + 1] for r in range(n // 2 + 1)}
     support = tuple(r for r, c in exact.items() if c)
     return DistributionTable(n, "age", None, support, tuple(exact[r] for r in support))
 
@@ -270,18 +260,16 @@ def expected_ancestor_size(n: int, r: int) -> Fraction:
     """E X_{n,r} = binom(2n-2r-4, n-2)/C(n-2) + 1.
 
     Out-of-range binomials (negative or too small upper index) are 0,
-    which covers r past floor(n/2); the formula extends to r = 0, where
-    it returns n exactly.
+    which covers r past floor(n/2) and the single node; the formula
+    extends to r = 0, where it returns n exactly.
     """
     if n < 1:
         raise ValueError("size must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if n == 1:
-        return Fraction(1)
     upper = 2 * n - 2 * r - 4
     numerator = math.comb(upper, n - 2) if 0 <= n - 2 <= upper else 0
-    return Fraction(numerator, catalan(n - 2)) + 1
+    return Fraction(numerator, _tree_count(n)) + 1
 
 
 def max_ancestor_size(n: int, r: int) -> int:
@@ -338,9 +326,7 @@ def ancestor_distribution(n: int, r: int) -> DistributionTable:
         raise ValueError("size must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if n == 1:
-        return DistributionTable(1, "ancestor", r, (1,), (1,))
     if r == 0:
-        return DistributionTable(n, "ancestor", 0, (n,), (catalan(n - 2),))
+        return DistributionTable(n, "ancestor", 0, (n,), (_tree_count(n),))
     counts = _ancestor_counts(n, r)
     return DistributionTable(n, "ancestor", r, tuple(counts), tuple(counts.values()))

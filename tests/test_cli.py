@@ -117,6 +117,20 @@ class TestEnumerate:
         assert code == 0
         assert peak < 2**20
 
+    def test_json_streams(self):
+        """The JSON document of size 13 (1.9 MB) is not built whole either."""
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                code = run(
+                    ["enumerate", "--size", "13", "--format", "json"], out=sink, err=StringIO()
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 2**20
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_size_cap(self, fmt):
         code, out, err = invoke("enumerate", "--size", "17", "--format", fmt)
@@ -290,6 +304,78 @@ def test_golden_pmf_bytes(argv):
     code, out, _ = invoke(*argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PMF_SHA256[argv]
+
+
+# sha256 of stdout at size 1, recorded while `stats` and `sample_trees`
+# still gave the single node a branch of its own; (command, format): digest
+GOLDEN_SIZE_ONE_SHA256 = {
+    (("count",), "text"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    (("count",), "json"): "946fe5479e3f81d3b99c26b3f5198108dd9c7693d2b7fa6ab2e011562f9a89fe",
+    (("count",), "csv"): "0bd00e2f52a2c3b4a3a25e71bdeef47d94f850ef5ac03351907b0c7c7fdb6c15",
+    (("enumerate",), "text"): "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b",
+    (("enumerate",), "json"): "d2f64dd7b9589f3010ea78359b357c0360229f2ea8e22f9701c67ad2c6c050e3",
+    (("enumerate",), "csv"): "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b",
+    (("sample", "--count", "3"), "text"):
+        "bf7189515ec1aa14f2dff58050b715ef1b6c6bfc32a4cc822237d73f44d980ae",
+    (("sample", "--count", "3"), "json"):
+        "d9dc1c00911f7f5ace724e7eb2ca576ae9cef22dff35a933191ec3a89b4ab049",
+    (("sample", "--count", "3"), "csv"):
+        "bf7189515ec1aa14f2dff58050b715ef1b6c6bfc32a4cc822237d73f44d980ae",
+    (("age",), "text"): "a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424",
+    (("age",), "json"): "7c6d70b8416d5a1cfcd4538140bcc298cdb00ebb73758b6c6d781e1a9b3f2b74",
+    (("age",), "csv"): "cc2e5a3eaf92e1e8f951a7fb80004946837bd27e35ebc9411f10743cd00561f3",
+    (("ancestor", "--depth", "0"), "text"):
+        "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
+    (("ancestor", "--depth", "0"), "json"):
+        "cc2a61123fa8c83f7ebdc9b50372e075442def77499cc50962683e54ca0b23c0",
+    (("ancestor", "--depth", "0"), "csv"):
+        "3d68a7cf8ee5f556e67467f13f9578687875e279992c14243f574a56c4653b2d",
+    (("ancestor", "--depth", "1"), "text"):
+        "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
+    (("ancestor", "--depth", "1"), "json"):
+        "a14854ad15e1d627ee174a2d790c8383cd978811349151b8cb337c29b430fe90",
+    (("ancestor", "--depth", "1"), "csv"):
+        "3d68a7cf8ee5f556e67467f13f9578687875e279992c14243f574a56c4653b2d",
+    (("ancestor", "--depth", "1000000000"), "text"):
+        "3f11ad6bbc7ecca0b2416b713dee77f1a635c00aaeaa946e14cde1c2bfae56d5",
+    (("ancestor", "--depth", "1000000000"), "json"):
+        "e0a955c22916b18ea790a9b558d4c62bb36d05493ef8676ae353dab230477aa5",
+    (("ancestor", "--depth", "1000000000"), "csv"):
+        "3d68a7cf8ee5f556e67467f13f9578687875e279992c14243f574a56c4653b2d",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN_SIZE_ONE_SHA256))
+def test_golden_size_one_bytes(command, fmt):
+    argv = (command[0], "--size", "1", *command[1:], "--format", fmt)
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SIZE_ONE_SHA256[command, fmt]
+
+
+# sha256 of `enumerate --format json` stdout, recorded while the document
+# was built whole by one `json.dumps`
+GOLDEN_ENUMERATE_JSON_SHA256 = {
+    1: "d2f64dd7b9589f3010ea78359b357c0360229f2ea8e22f9701c67ad2c6c050e3",
+    2: "8985086d7d739fa8c1661b3e50f97d02ac34f74d761fca00eb0ecfb0aafe01c7",
+    3: "89f57a16433606641da9efd8fd0368acc5e88a38ace1cfc371144d6e70e7f075",
+    4: "e3a84289313d75878cbd07090590dd9392e888a047fbf91a427ea86ee91f3046",
+    5: "0645a644e225046ae636587e645f45d31aa66388dcd9d9ebd366b9e19e578f88",
+    6: "7699a6d9e8902f3f8734f4651d0ee92bc0d9dc61ff45487b2835ab9436bc1ea9",
+    7: "685e4db3693b13390117520a56dd40cc623fb90ed72478cfab970ad7c58003c6",
+    8: "fae2ef9ed1ddc07a51a66e449cf96aded92a49daf29e1bfa567df3c185db492b",
+    9: "e766b8db2ca2dd2f4a87a5de2b1cfeffae8a137d2625e110266572b9ceea2ce6",
+    10: "124c57748ec0299bccf8b32f291543836f108b500173922f841278da9e391c98",
+    11: "49937a2c10b2c5503753fc326ef1a0f7eec7c637a97741c76af727dcaf9cadcd",
+    12: "23cfda1eece0ff5212a09129ccbc0f7e51ec13be6a619de3bfb08ee32b2acfeb",
+}
+
+
+@pytest.mark.parametrize("size", sorted(GOLDEN_ENUMERATE_JSON_SHA256))
+def test_golden_enumerate_json_bytes(size):
+    code, out, err = invoke("enumerate", "--size", str(size), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_JSON_SHA256[size]
 
 
 def _oracle_lines(table):

@@ -349,6 +349,15 @@ class TestSampleReducedSizes:
     def test_r_zero_returns_size(self):
         assert list(sample_reduced_sizes(9, 4, seed=1, r=0)) == [9, 9, 9, 9]
 
+    @pytest.mark.parametrize("sampler", [sample_trees, sample_reduced_sizes])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("size", [1, 50])
+    def test_seed_outside_64_bits(self, sampler, seed, size):
+        """Both samplers take the seeds numpy's generator takes below 2^64,
+        and refuse the others with one message, at every size."""
+        with pytest.raises(ValueError, match="^seed must fit in 64 unsigned bits$"):
+            sampler(size, 3, seed)
+
     @pytest.mark.parametrize("size", [1, 2])
     def test_tiny_sizes(self, size):
         assert list(sample_reduced_sizes(size, 3, seed=1)) == [1, 1, 1]

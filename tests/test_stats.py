@@ -104,7 +104,7 @@ class TestAgeDistribution:
 
     def test_size_one_degenerate(self):
         table = age_distribution(1)
-        assert table.support == (0,)
+        assert table == DistributionTable(1, "age", None, (0,), (1,))
         assert table.masses == (Fraction(1),)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -155,6 +155,7 @@ class TestExpectedAge:
 
     def test_size_one(self):
         assert expected_age(1) == 0
+        assert expected_age_via_survivals(1) == 0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_three_routes_agree(self, n, census):
@@ -179,6 +180,9 @@ class TestAgeVariance:
     def test_matches_census(self, n, census):
         assert age_variance(n) == brute_variance(census(n).age_formula)
 
+    def test_size_one(self):
+        assert age_variance(1) == 0
+
 
 class TestExpectedAncestorSize:
     @pytest.mark.parametrize(
@@ -198,7 +202,8 @@ class TestExpectedAncestorSize:
                 assert expected_ancestor_size(n, r) == 1
 
     def test_size_one(self):
-        assert expected_ancestor_size(1, 3) == 1
+        for r in (0, 1, 2, 3, 10**9):
+            assert expected_ancestor_size(1, r) == 1
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -227,6 +232,11 @@ class TestAncestorDistribution:
             1: Fraction(1, 5),
             2: Fraction(4, 5),
         }
+
+    def test_size_one(self):
+        """The single node is its own r-th ancestor at every r."""
+        for r in (0, 1, 2, 10**9):
+            assert ancestor_distribution(1, r) == DistributionTable(1, "ancestor", r, (1,), (1,))
 
     def test_r_zero_point_mass(self):
         table = ancestor_distribution(7, 0)
