@@ -7,8 +7,10 @@ Output is deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
+import math
 import sys
 from itertools import islice
 
@@ -31,7 +33,9 @@ USAGE_ERROR = 2
 # (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
-# about 2.0-2.3 s (2-vCPU VM, Python 3.11), most of it one gcd per line.
+# about 2.0-2.3 s, most of it one gcd per line, and peaks at 41 MiB RSS in
+# every format, as a fresh process over five runs each (2-vCPU VM, Python
+# 3.11).
 # Denominators print through `decimal`, which has no digit limit, but the
 # numerators are ints, and from 7155 on one can pass Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
@@ -159,13 +163,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_distribution(table: stats.DistributionTable, fmt: str, out) -> None:
-    """JSON as one document; CSV and text written a line at a time."""
+def _emit_distribution(table: stats.DistributionTable, header: dict, fmt: str, out) -> None:
+    """The pmf one line per `write`: `value,numerator,denominator` rows after
+    a header row for "csv", `value mass` for "text"; for "json" the bytes
+    `json.dumps` prints for the keys of `header` followed by the object
+    "pmf", one mass per `write`.  A mass prints as str(Fraction) does.
+
+    One gcd per mass.  Every denominator is the tree count (the sum of the
+    counts) over that gcd, so the count is converted to a Decimal once and
+    each denominator is one exact `divide_int` by the gcd; a Decimal's text
+    costs linear time where an int's costs quadratic.  The context is
+    private, so the caller's decimal context plays no part.
+    """
+    total = sum(table.counts)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    big = ctx.create_decimal(total)
+
+    def reduced():
+        for v, c in zip(table.support, table.counts):
+            g = math.gcd(c, total)
+            yield v, str(c // g), str(ctx.divide_int(big, g))
+
+    if fmt == "csv":
+        out.write("value,numerator,denominator\n")
+        for v, a, b in reduced():
+            out.write(f"{v},{a},{b}\n")
+        return
+    masses = ((v, a if b == "1" else f"{a}/{b}") for v, a, b in reduced())
     if fmt == "json":
-        print(table.to_json(), file=out)
+        out.write(json.dumps(header)[:-1] + ', "pmf": {')
+        for i, (v, mass) in enumerate(masses):
+            out.write(f'{", " if i else ""}"{v}": "{mass}"')
+        out.write("}}\n")
     else:
-        for line in table.lines(fmt):
-            out.write(f"{line}\n")
+        for v, mass in masses:
+            out.write(f"{v} {mass}\n")
 
 
 def _emit_words(words, header: dict, fmt: str, out) -> None:
@@ -216,6 +248,11 @@ def _cmd_sample(args, out) -> int:
     _check_size_cap("sample", args.count, MAX_SAMPLE_COUNT, flag="--count")
     if args.count < 0:
         raise ValueError("sample --count must be nonnegative")
+    if args.count and args.seed + args.count > 2**64:
+        raise ValueError(
+            f"sample --count {args.count} uses seeds up to {args.seed + args.count - 1}, "
+            "and a seed must fit in 64 unsigned bits"
+        )
     words = [
         sample_trees(args.size, 1, args.seed + i)[0].serialize()
         for i in range(args.count)
@@ -243,7 +280,8 @@ def _cmd_age(args, out) -> int:
         _emit_asym({"n": args.size}, mean, variance, args.format, out)
         return 0
     _check_size_cap("age", args.size, MAX_AGE_SIZE)
-    _emit_distribution(stats.age_distribution(args.size), args.format, out)
+    header = {"n": args.size, "kind": "age", "r": None}
+    _emit_distribution(stats.age_distribution(args.size), header, args.format, out)
     return 0
 
 
@@ -254,7 +292,9 @@ def _cmd_ancestor(args, out) -> int:
         _emit_asym({"n": args.size, "r": args.depth}, mean, variance, args.format, out)
         return 0
     _check_size_cap("ancestor", args.size, MAX_ANCESTOR_SIZE)
-    _emit_distribution(stats.ancestor_distribution(args.size, args.depth), args.format, out)
+    table = stats.ancestor_distribution(args.size, args.depth)
+    header = {"n": args.size, "kind": "ancestor", "r": args.depth}
+    _emit_distribution(table, header, args.format, out)
     return 0
 
 

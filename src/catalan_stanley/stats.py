@@ -1,8 +1,8 @@
 """Exact age and ancestor statistics, computed as integer tree counts.
 
 Every pmf here is a count of trees over the number of trees; a probability
-or a moment becomes a Fraction only when it is read, and a printed pmf
-builds none (see `DistributionTable`).
+or a moment becomes a Fraction only when it is read (see
+`DistributionTable`).  How a pmf is printed is the CLI's concern.
 
 The number f(n,r) of size-n trees of age >= r comes from a finite
 alternating binomial sum obtained by coefficient extraction.  With
@@ -34,8 +34,6 @@ built, and a size-n pmf costs about n/(2r+1) products of order n.
 
 from __future__ import annotations
 
-import decimal
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,31 +151,20 @@ def age_variance(n: int) -> Fraction:
     return age_distribution(n).variance()
 
 
-def _fraction_text(numerator: str, denominator: str) -> str:
-    """str(Fraction) of a reduced fraction given as the text of its two parts."""
-    return numerator if denominator == "1" else f"{numerator}/{denominator}"
-
-
 @dataclass(frozen=True, slots=True)
 class DistributionTable:
     """Exact pmf of the age or of an ancestor size at one tree size.
 
     counts[i] is the number of size-n trees whose value is support[i]; the
     counts add up to the number of size-n trees, the denominator of every
-    mass.  `masses`, `mean` and `variance` return Fractions; the printed
-    forms (`lines`, `to_json`) reduce each mass by one gcd and print it as
-    str(Fraction) would, without building one.
+    mass.  `masses`, `mean` and `variance` return Fractions.
     """
 
     size_n: int
-    kind: str  # "age" or "ancestor"
-    r: int | None
     support: tuple[int, ...]
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in ("age", "ancestor"):
-            raise ValueError("kind must be 'age' or 'ancestor'")
         if len(self.support) != len(self.counts):
             raise ValueError("support and counts differ in length")
         if any(c < 0 for c in self.counts):
@@ -186,24 +173,6 @@ class DistributionTable:
             raise ValueError("counts must sum to the number of trees of size_n")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("support must be strictly ascending")
-
-    def _mass_texts(self):
-        """(value, numerator, denominator) of each reduced mass, as decimal text.
-
-        One gcd per mass.  Every denominator is C(n-2) over that gcd, so
-        C(n-2) is converted to a Decimal once and each denominator is one
-        exact `divide_int` by the gcd; a Decimal's text costs linear time
-        where an int's costs quadratic.  The context is private, so the
-        caller's decimal context plays no part.
-        """
-        total = _tree_count(self.size_n)
-        ctx = decimal.Context(
-            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
-        )
-        big = ctx.create_decimal(total)
-        for v, c in zip(self.support, self.counts):
-            g = math.gcd(c, total)
-            yield v, str(c // g), str(ctx.divide_int(big, g))
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
@@ -220,30 +189,6 @@ class DistributionTable:
         second = sum(v * v * c for v, c in zip(self.support, self.counts))
         return Fraction(total * second - first * first, total * total)
 
-    def lines(self, fmt: str):
-        """The pmf one line at a time, without newlines: `value,numerator,
-        denominator` rows after a header for "csv", `value mass` for "text",
-        where a mass prints as str(Fraction) does."""
-        if fmt == "csv":
-            yield "value,numerator,denominator"
-            for v, a, b in self._mass_texts():
-                yield f"{v},{a},{b}"
-        elif fmt == "text":
-            for v, a, b in self._mass_texts():
-                yield f"{v} {_fraction_text(a, b)}"
-        else:
-            raise ValueError("fmt must be 'csv' or 'text'")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.size_n,
-                "kind": self.kind,
-                "r": self.r,
-                "pmf": {str(v): _fraction_text(a, b) for v, a, b in self._mass_texts()},
-            }
-        )
-
 
 def age_distribution(n: int) -> DistributionTable:
     """P(D_n = r) = (f(n,r) - f(n,r+1)) / #trees over r in [0, floor(n/2)],
@@ -253,7 +198,7 @@ def age_distribution(n: int) -> DistributionTable:
     survivals = [_tree_count(n), *_survival_counts(n), 0]
     exact = {r: survivals[r] - survivals[r + 1] for r in range(n // 2 + 1)}
     support = tuple(r for r, c in exact.items() if c)
-    return DistributionTable(n, "age", None, support, tuple(exact[r] for r in support))
+    return DistributionTable(n, support, tuple(exact[r] for r in support))
 
 
 def expected_ancestor_size(n: int, r: int) -> Fraction:
@@ -327,6 +272,6 @@ def ancestor_distribution(n: int, r: int) -> DistributionTable:
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
-        return DistributionTable(n, "ancestor", 0, (n,), (_tree_count(n),))
+        return DistributionTable(n, (n,), (_tree_count(n),))
     counts = _ancestor_counts(n, r)
-    return DistributionTable(n, "ancestor", r, tuple(counts), tuple(counts.values()))
+    return DistributionTable(n, tuple(counts), tuple(counts.values()))

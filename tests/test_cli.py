@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -10,9 +12,11 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
+import catalan_stanley.cli
 import catalan_stanley.enumeration
 import catalan_stanley.tree
 import catalan_stanley.verify
@@ -176,6 +180,26 @@ class TestSample:
 
     def test_negative_count(self):
         assert_fails_fast("sample", "--size", "5", "--count", "-3")
+
+    def test_last_seed_checked_before_any_draw(self, monkeypatch):
+        """Tree i uses seed+i, so a run whose last seed passes 2**64 is refused
+        before its first tree is drawn, naming that last seed."""
+        calls, draw = [], catalan_stanley.cli.sample_trees
+        monkeypatch.setattr(
+            catalan_stanley.cli, "sample_trees", lambda *args: calls.append(args) or draw(*args)
+        )
+        seed = 2**64 - 16
+        err = assert_fails_fast(
+            "sample", "--size", str(MAX_SAMPLE_SIZE), "--count", "100", "--seed", str(seed)
+        )
+        assert str(seed + 99) in err
+        assert calls == []
+
+    def test_seed_outside_64_bits(self):
+        err = assert_fails_fast("sample", "--size", "5", "--seed", "-1")
+        assert err == "error: seed must fit in 64 unsigned bits\n"
+        assert invoke("sample", "--size", "5", "--seed", "-1", "--count", "0") == (0, "", "")
+        assert invoke("sample", "--size", "5", "--seed", str(2**64 - 3), "--count", "3")[0] == 0
 
     def test_size_cap(self):
         err = assert_fails_fast("sample", "--size", str(MAX_SAMPLE_SIZE + 1))
@@ -378,38 +402,43 @@ def test_golden_enumerate_json_bytes(size):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ENUMERATE_JSON_SHA256[size]
 
 
-def _oracle_lines(table):
-    """CSV, text and JSON masses of a table, each built from its own Fraction."""
+def _header(table, r):
+    """The keys a command prints before the pmf: "kind" is "age" where r is None."""
+    return {"n": table.size_n, "kind": "age" if r is None else "ancestor", "r": r}
+
+
+def _oracle_lines(table, r):
+    """CSV, text and JSON of a table, each mass built from its own Fraction."""
     m = table.size_n - 2
     total = math.comb(2 * m, m) // (m + 1) if m >= 0 else 1
     masses = [(v, Fraction(c, total)) for v, c in zip(table.support, table.counts)]
+    document = {**_header(table, r), "pmf": {str(v): str(f) for v, f in masses}}
     return {
         "csv": ["value,numerator,denominator"]
         + [f"{v},{f.numerator},{f.denominator}" for v, f in masses],
         "text": [f"{v} {f}" for v, f in masses],
-        "json": {str(v): str(f) for v, f in masses},
+        "json": [json.dumps(document)],
     }
 
 
-def _emitted(table):
+def _emitted(table, r=None):
     printed = {}
     for fmt in ("csv", "text", "json"):
         out = StringIO()
-        _emit_distribution(table, fmt, out)
+        _emit_distribution(table, _header(table, r), fmt, out)
         printed[fmt] = out.getvalue()
     return printed
 
 
-def _assert_matches_oracle(table):
-    expected, printed = _oracle_lines(table), _emitted(table)
-    for fmt in ("csv", "text"):
+def _assert_matches_oracle(table, r=None):
+    expected, printed = _oracle_lines(table, r), _emitted(table, r)
+    for fmt in ("csv", "text", "json"):
         assert printed[fmt] == "".join(f"{line}\n" for line in expected[fmt])
-    assert json.loads(printed["json"])["pmf"] == expected["json"]
 
 
 class TestPmfTextOracle:
-    """Every printed mass against str(Fraction) of its own count, which
-    shares no code with the decimal route that prints it."""
+    """Every printed document against str(Fraction) of each count and one
+    `json.dumps`, which share no code with the decimal route that prints it."""
 
     def test_age(self):
         for n in range(1, 301):
@@ -418,7 +447,7 @@ class TestPmfTextOracle:
     @pytest.mark.parametrize("r", range(5))
     def test_ancestor(self, r):
         for n in range(1, 121):
-            _assert_matches_oracle(ancestor_distribution(n, r))
+            _assert_matches_oracle(ancestor_distribution(n, r), r)
 
     def test_caller_decimal_context_plays_no_part(self):
         tables = [age_distribution(300), ancestor_distribution(60, 1)]
@@ -442,6 +471,45 @@ class TestPmfTextOracle:
         assert narrowed == expected and here == expected
 
 
+class TestEmitDistribution:
+    def test_csv_format(self):
+        assert _emitted(age_distribution(5))["csv"] == (
+            "value,numerator,denominator\n1,1,5\n2,4,5\n"
+        )
+
+    def test_json_format(self):
+        payload = json.loads(_emitted(age_distribution(4))["json"])
+        assert payload == {
+            "n": 4,
+            "kind": "age",
+            "r": None,
+            "pmf": {"1": "1/2", "2": "1/2"},
+        }
+        payload = json.loads(_emitted(ancestor_distribution(4, 1), 1)["json"])
+        assert payload == {"n": 4, "kind": "ancestor", "r": 1, "pmf": {"1": "1/2", "2": "1/2"}}
+
+    def test_lines(self):
+        printed = _emitted(age_distribution(5))
+        assert printed["csv"].splitlines() == ["value,numerator,denominator", "1,1,5", "2,4,5"]
+        assert printed["text"].splitlines() == ["1 1/5", "2 4/5"]
+        assert _emitted(age_distribution(2))["text"] == "1 1\n"
+
+    def test_json_peak_is_that_of_csv(self):
+        """The JSON document is written a mass at a time, as CSV is, so it
+        holds no more than CSV does; built whole, it held 3.6 MB more."""
+        peaks = {}
+        with open(os.devnull, "w") as sink:
+            for fmt in ("csv", "json"):
+                tracemalloc.start()
+                try:
+                    code = run(["age", "--size", "2000", "--format", fmt], out=sink, err=StringIO())
+                    peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+        assert peaks["json"] - peaks["csv"] < 2**20
+
+
 class _Recorder:
     def __init__(self):
         self.chunks = []
@@ -457,15 +525,25 @@ class _Recorder:
         ("age", "--size", "2000", "--format", "text"),
         ("ancestor", "--size", "30", "--depth", "2", "--format", "csv"),
         ("ancestor", "--size", "30", "--depth", "2", "--format", "text"),
+        ("age", "--size", "2000", "--format", "json"),
+        ("ancestor", "--size", "30", "--depth", "2", "--format", "json"),
     ],
 )
 def test_pmf_is_written_a_line_at_a_time(argv):
+    """CSV and text one line per `write`; JSON its header, then one mass
+    per `write`, then the closing braces."""
     out = _Recorder()
     assert run(list(argv), out=out, err=StringIO()) == 0
     printed = "".join(out.chunks)
-    longest = max(len(line) for line in printed.splitlines())
-    assert len(out.chunks) == printed.count("\n")
-    assert all(len(chunk) <= longest + 1 for chunk in out.chunks)
+    if argv[-1] == "json":
+        head, *masses, tail = out.chunks
+        assert head.endswith('"pmf": {') and tail == "}}\n"
+        assert len(masses) == len(json.loads(printed)["pmf"])
+        assert all(len(json.loads("{" + m.removeprefix(", ") + "}")) == 1 for m in masses)
+    else:
+        longest = max(len(line) for line in printed.splitlines())
+        assert len(out.chunks) == printed.count("\n")
+        assert all(len(chunk) <= longest + 1 for chunk in out.chunks)
     assert hashlib.sha256(printed.encode()).hexdigest() == GOLDEN_PMF_SHA256[argv]
 
 
@@ -731,3 +809,23 @@ class TestReportShape:
     def test_scope_validation(self):
         with pytest.raises(ValueError):
             run_verification(max_size=3)
+
+
+def _readme_cli_examples():
+    """The command lines of README's `## CLI` code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    return block.splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example(line):
+    """Each example exits 0; where its comment opens with the output's first
+    line (a number or a CSV header), that line is printed."""
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "catalan-stanley"
+    code, out, err = invoke(*argv[1:])
+    assert (code, err) == (0, "")
+    comment = line.partition("#")[2].split()
+    if comment and re.fullmatch(r"\d+|\w+(,\w+)+", comment[0]):
+        assert out.splitlines()[0] == comment[0]
