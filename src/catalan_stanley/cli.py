@@ -46,9 +46,9 @@ MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
-# `sample` draws about 0.45 us per node plus 0.35 ms per tree: one tree of
-# size 10^5 takes about 0.03 s (median over 12 seeds), and the largest
-# request (100 of them) 3.3-3.5 s and 59 MiB in every format.
+# `sample` draws about 0.2-0.25 us per node: one tree of size 10^5 takes
+# about 0.02-0.03 s (median over 12 seeds), and the largest request (100
+# of them), as a fresh process, 2.5-3.4 s and 58.5 MiB in every format.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` runs its series, asymptotics and sampler layers in a second

@@ -15,8 +15,11 @@ membership derive nothing.  It streams the trees in O(size) memory, at
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths
 (balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
 whose returns all end odd descents, which are the uniform Catalan-Stanley
-trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  Each kept int8
-row becomes its word by one byte translation.  One tree is
+trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  The shuffle,
+its largest cost, runs on int64 rows a chunk of at most 2^15 steps at a
+time, where numpy's `permuted` swaps fastest; the swaps and the draws
+they take are those of a shuffle of int8 rows, so the trees are too.
+Each kept int8 row becomes its word by one byte translation.  One tree is
 `sample_trees(size, 1, seed)[0]`.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
@@ -184,20 +187,43 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     return _dyck_trees(n - 1, odd_returns=True)
 
 
+# Steps `_draw_plane_paths` shuffles at a time: an int64 buffer of 256 KiB.
+_SHUFFLE_STEPS = 2**15
+
+
 def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> np.ndarray:
-    """Uniform Dyck paths of the given semilength, one per row.
+    """Uniform Dyck paths of the given semilength, one int8 row of +1/-1 steps each.
 
     Shuffle m up-steps among m+1 down-steps; of the 2m+1 rotations of such
     a word exactly one, the one starting right after the first prefix-sum
     minimum, is a Dyck path followed by a final down-step.  Every Dyck path
     has the same number (2m+1) of preimages, so the draw is uniform.
+
+    numpy's `Generator.permuted` swaps 8-byte items in a fast loop and items
+    of every other width through a generic copy, so the rows are shuffled
+    in a reused int64 buffer, as many at a time as fit in _SHUFFLE_STEPS
+    steps (one row, if a row is longer), and each chunk is copied into the
+    int8 rows.  The Fisher-Yates swaps and the draws they take from the
+    stream depend neither on the item width nor on the chunking, so the
+    rows and the generator's state afterwards are those of one `permuted`
+    call on all the int8 rows.  The buffer holds at most 256 KiB, or 8
+    bytes a step of one longer row, and is freed before the rotation.
+    Prefix sums are int16 below 2^15 steps a row.
     """
     m = semilength
     length = 2 * m + 1
-    arr = np.full((rows, length), -1, dtype=np.int8)
-    arr[:, :m] = 1
-    rng.permuted(arr, axis=1, out=arr)
-    start = arr.cumsum(axis=1, dtype=np.int32).argmin(axis=1) + 1
+    arr = np.empty((rows, length), dtype=np.int8)
+    chunk = max(1, _SHUFFLE_STEPS // length)
+    buf = np.empty((min(rows, chunk), length), dtype=np.int64)
+    for lo in range(0, rows, chunk):
+        block = buf[: min(chunk, rows - lo)]
+        block[:, :m] = 1
+        block[:, m:] = -1
+        rng.permuted(block, axis=1, out=block)
+        arr[lo : lo + len(block)] = block
+    buf = block = None  # freed before the rotation's temporaries
+    dtype = np.int16 if length < 2**15 else np.int32
+    start = arr.cumsum(axis=1, dtype=dtype).argmin(axis=1) + 1
     # row i's rotation is the window of length 2m at start[i] in the doubled
     # row, so no per-step index array is built
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -261,8 +287,11 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     paths are drawn.  A round draws at most 2^21 steps (one path, if a
     path is longer) and never more paths than trees are still needed, so
     memory stays bounded at every size.  The rows of a round are shuffled
-    one after another from the same stream, so the trees do not depend on
-    how the draws split into rounds.
+    one after another from the same stream, in int64 chunks of at most
+    2^15 steps (one row, if a row is longer; see `_draw_plane_paths`), so
+    the trees depend neither on how the draws split into rounds nor on how
+    a round splits into chunks.  Past the int8 rows of a round, the
+    shuffle holds at most 256 KiB, or 8 bytes a step of one longer row.
     """
     if size < 1:
         raise ValueError("size must be positive")

@@ -300,6 +300,48 @@ class TestSampleTrees:
         assert paths.shape == (20000, 8)
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize(
+        "semilength,rows",
+        [(4, 100), (999, 40), (4, 20000), (20000, 3)],
+        ids=["one-chunk", "short-last-chunk", "many-chunks", "row-past-a-chunk"],
+    )
+    def test_chunked_shuffle_matches_one_int8_call(self, semilength, rows):
+        """The int64 chunks draw the rows and leave the generator as one
+        `permuted` call over all the int8 rows does."""
+        length = 2 * semilength + 1
+        reference_rng = np.random.default_rng(rows)
+        steps = np.full((rows, length), -1, dtype=np.int8)
+        steps[:, :semilength] = 1
+        reference_rng.permuted(steps, axis=1, out=steps)
+        start = steps.cumsum(axis=1).argmin(axis=1) + 1
+        rotation = (start[:, None] + np.arange(2 * semilength)) % length
+        expected = np.take_along_axis(steps, rotation, axis=1)
+        rng = np.random.default_rng(rows)
+        paths = _draw_plane_paths(rng, semilength, rows)
+        assert paths.dtype == np.int8
+        assert np.array_equal(paths, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("steps", [1, 7, catalan_stanley.enumeration._SHUFFLE_STEPS])
+    def test_trees_do_not_depend_on_the_shuffle_chunk(self, steps, monkeypatch):
+        """Chunks of one row, of a few short rows, and the default all give
+        the pinned trees."""
+        monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", steps)
+        self.test_pinned_draws_across_sizes()
+
+    def test_long_row_shuffle_memory_is_bounded(self):
+        """One row of 200,001 steps, longer than a chunk: its int64 buffer
+        (1.53 MiB) plus the int8 row peaked at 1.72 MiB; the bound leaves 16%.
+        Keeping the buffer through the rotation peaked at 3.24 MiB."""
+        tracemalloc.start()
+        try:
+            paths = _draw_plane_paths(np.random.default_rng(0), 10**5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert paths.shape == (1, 2 * 10**5)
+        assert peak < 2 * 2**20
+
     def test_odd_return_mask_memory_is_bounded(self):
         """160,000 int8 steps; int32 positions and heights with a fresh array
         per step peaked at about 1.98 MiB."""
