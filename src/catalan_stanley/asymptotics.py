@@ -19,14 +19,15 @@ limit constants are the sums
     c3 = -sum (2r-1) g(r) - 2 c0 c1,
 
 with E D_n = c0 + c1/n + O(n^-2) and V D_n = c2 + c3/n + O(n^-2).  One
-pass over r sums all four series.  Every term is at most 320 r^4 4^-r, so
+pass over r, once per process, sums all four series for the largest
+precision served, MAX_DIGITS = 60.  Every term is at most 320 r^4 4^-r, so
 one geometric majorant bounds all four tails, and the pass stops once it
-is below 10^-(digits+7).  Each term enters the sums in fixed point, as
-the integer floor(term * 10^(digits+15)), so a sum is off by its tail
-plus under one unit of 10^-(digits+15) per term; each of c0..c3 is then
-within 10^-(digits+5), corrections included.  `constant_digits` prints
-the exact rational so obtained, rounded to the requested digits; no
-floating point and no global precision enter the pass.
+is below 10^-67.  Each term enters the sums in fixed point, as the integer
+floor(term * 10^75), so a sum is off by its tail plus under one unit of
+10^-75 per term; each of c0..c3 is then within 10^-65, corrections
+included.  `constant_digits` prints the exact rational so obtained,
+rounded to the requested digits; no floating point and no global
+precision enter the pass.
 
 Ancestor sizes: E X_{n,r} and V X_{n,r} expand in powers of n with
 explicit rational (and sqrt(pi)) coefficients; the three resp. four
@@ -101,18 +102,17 @@ _TAIL_AMPLITUDE = Fraction(320 * 4560, 243)
 
 
 @functools.cache
-def _constants(digits: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """c0..c3, each within 10^-(digits+5), from one pass over r.
+def _constants() -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """c0..c3, each within 10^-(MAX_DIGITS+5), from one pass over r.
 
     The four sums stop together once the shared tail bound is below
-    10^-(digits+7).  A term is added as floor(term * 10^(digits+15)), which
-    loses under one unit of 10^-(digits+15); the pass takes at most 131
-    terms (at 60 digits), so each sum is within 2 * 10^-(digits+7) of its
-    series, and the c0^2 and c0 c1 corrections multiply that by less than
-    100.
+    10^-(MAX_DIGITS+7).  A term is added as floor(term * 10^(MAX_DIGITS+15)),
+    which loses under one unit of 10^-(MAX_DIGITS+15); the pass takes 131
+    terms, so each sum is within 2 * 10^-(MAX_DIGITS+7) of its series, and
+    the c0^2 and c0 c1 corrections multiply that by less than 100.
     """
-    scale = 10 ** (digits + 15)
-    target = Fraction(1, 10 ** (digits + 7))
+    scale = 10 ** (MAX_DIGITS + 15)
+    target = Fraction(1, 10 ** (MAX_DIGITS + 7))
     sums = [0] * 4
     r = 1
     while True:
@@ -130,7 +130,8 @@ def _constants(digits: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 def constant_digits(index: int, digits: int) -> str:
     """c0..c3 (by `index`) as a decimal string with `digits` significant
-    digits, rigorous to within 10^-(digits+5)."""
+    digits, rounded from one value within 10^-(MAX_DIGITS+5) of the
+    constant."""
     if index not in (0, 1, 2, 3):
         raise ValueError("index must be 0..3")
     if digits < 1:
@@ -139,7 +140,7 @@ def constant_digits(index: int, digits: int) -> str:
         raise CapacityError(
             f"at most {MAX_DIGITS} digits supported (requested {digits})"
         )
-    value = _constants(digits)[index]
+    value = _constants()[index]
     # a local context, so no thread's decimal precision is read or set
     rounded = decimal.Context(prec=digits).divide(value.numerator, value.denominator)
     text = format(rounded, "f")
@@ -147,7 +148,7 @@ def constant_digits(index: int, digits: int) -> str:
 
 
 def _constants_float() -> tuple[float, float, float, float]:
-    return tuple(float(c) for c in _constants(30))
+    return tuple(float(c) for c in _constants())
 
 
 def _check_size(n: int) -> None:

@@ -39,16 +39,19 @@ MAX_ENUMERATE_SIZE = 16
 # Denominators print through `decimal`, which has no digit limit, but the
 # numerators are ints, and from 7155 on one can pass Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
-# pairs of series of order n: at --depth 1 size 480 takes about 5 s, 500
-# about 5.5 s and 600 about 10 s; deeper runs are faster.  `--asym` takes
-# the caps of the asymptotics module (n up to 2**53, r up to 255).
+# pairs of series of order n: at --depth 1 size 480 takes about 4.2-4.7 s
+# (medians of 3 fresh processes; single runs 2.4-5.2 s on a noisy 2-vCPU
+# VM), 500 about 4.8 s and 600 about 9.3 s; deeper runs are faster.
+# `--asym` takes the caps of the asymptotics module (n up to 2**53, r up
+# to 255).
 MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
 # `sample` draws about 0.2-0.25 us per node: one tree of size 10^5 takes
 # about 0.02-0.03 s (median over 12 seeds), and the largest request (100
-# of them), as a fresh process, 2.5-3.4 s and 58.5 MiB in every format.
+# of them), as a fresh process, 2.5-3.7 s and 40 MiB in every format; each
+# tree is written as it is drawn.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` runs its series, asymptotics and sampler layers in a second
@@ -253,10 +256,10 @@ def _cmd_sample(args, out) -> int:
             f"sample --count {args.count} uses seeds up to {args.seed + args.count - 1}, "
             "and a seed must fit in 64 unsigned bits"
         )
-    words = [
+    words = (
         sample_trees(args.size, 1, args.seed + i)[0].serialize()
         for i in range(args.count)
-    ]
+    )
     _emit_words(words, {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 

@@ -181,45 +181,35 @@ class TruncatedSeries:
 class BivariateSeries:
     """Series in z and t, boxed at degree `order` in each.
 
-    Built from a mapping {(z-degree, t-degree): coefficient}; stored as one
-    TruncatedSeries of order `order` per t-degree, without trailing zero
-    rows.
+    Built from its rows: rows[k] is the TruncatedSeries of order `order`
+    that multiplies t^k.  Trailing zero rows are dropped.
     """
 
     __slots__ = ("_rows", "_order")
 
-    def __init__(self, coeffs, order: int):
+    def __init__(self, rows, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        rows: dict[int, list] = {}
-        for (i, j), c in dict(coeffs).items():
-            if not 0 <= i or not 0 <= j:
-                raise ValueError(f"negative exponent in monomial ({i}, {j})")
-            if i <= order and j <= order:
-                rows.setdefault(j, [0] * (order + 1))[i] = c
-        top = max(rows, default=-1)
-        self._order = order
-        self._rows = self._trimmed(
-            [TruncatedSeries(rows.get(j, ()), order) for j in range(top + 1)]
-        )
-
-    @staticmethod
-    def _trimmed(rows: list[TruncatedSeries]) -> tuple[TruncatedSeries, ...]:
+        rows = list(rows)
+        for row in rows:
+            if not isinstance(row, TruncatedSeries):
+                raise TypeError(f"a row must be a TruncatedSeries, not {type(row).__name__}")
+            if row.order != order:
+                raise ValueError(f"row of order {row.order} in a series of order {order}")
         while rows and not any(rows[-1]._coeffs):
             rows.pop()
-        return tuple(rows)
-
-    @classmethod
-    def _of_rows(cls, rows: list[TruncatedSeries], order: int) -> "BivariateSeries":
-        """The series whose t^k row is rows[k]; rows must have order `order`."""
-        out = object.__new__(cls)
-        out._order = order
-        out._rows = cls._trimmed(rows)
-        return out
+        self._order = order
+        self._rows = tuple(rows)
 
     @classmethod
     def monomial(cls, i: int, j: int, order: int) -> "BivariateSeries":
-        return cls({(i, j): 1}, order)
+        """z^i t^j; the zero series if it lies outside the box."""
+        if i < 0 or j < 0:
+            raise ValueError(f"negative exponent in monomial ({i}, {j})")
+        if i > order or j > order:
+            return cls([], order)
+        zero = TruncatedSeries([], order)
+        return cls([zero] * j + [TruncatedSeries([0] * i + [1], order)], order)
 
     @property
     def order(self) -> int:
@@ -238,24 +228,6 @@ class BivariateSeries:
             for j, row in enumerate(self._rows)
             if row._coeffs[i]
         ]
-
-    def __add__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if self._order != other._order:
-            raise ValueError("mixing truncation orders")
-        longer, shorter = sorted((self._rows, other._rows), key=len, reverse=True)
-        return self._of_rows(
-            [a + b for a, b in zip(longer, shorter)] + list(longer[len(shorter) :]),
-            self._order,
-        )
-
-    def __mul__(self, other):
-        """Product with an integer scalar."""
-        scalar = operator.index(other)
-        return self._of_rows([row * scalar for row in self._rows], self._order)
-
-    __rmul__ = __mul__
 
     def diagonal(self) -> TruncatedSeries:
         """Set t equal to z."""
@@ -306,7 +278,7 @@ def series_S(order: int) -> BivariateSeries:
     rows = [TruncatedSeries.z(order)]
     for _ in range(order):
         rows.append(rows[-1] / den)
-    return BivariateSeries._of_rows(rows, order)
+    return BivariateSeries(rows, order)
 
 
 def _expand(f: BivariateSeries, a: TruncatedSeries, b: TruncatedSeries) -> BivariateSeries:
@@ -329,7 +301,7 @@ def _expand(f: BivariateSeries, a: TruncatedSeries, b: TruncatedSeries) -> Bivar
                 break
             acc = acc + h * b_pow[k - j] * comb(k, j)
         rows.append(acc)
-    return BivariateSeries._of_rows(rows, n)
+    return BivariateSeries(rows, n)
 
 
 def phi_apply(f: BivariateSeries) -> BivariateSeries:

@@ -195,6 +195,28 @@ class TestSample:
         assert str(seed + 99) in err
         assert calls == []
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_trees_written_as_drawn(self, monkeypatch, fmt):
+        """A tree is written before the later ones are drawn: at size 30000
+        two words fill one `write`, so of three trees the first two go out
+        before the third is drawn."""
+        events, draw = [], catalan_stanley.cli.sample_trees
+
+        def spy(*args):
+            events.append(None)
+            return draw(*args)
+
+        class Out:
+            write = events.append
+
+        monkeypatch.setattr(catalan_stanley.cli, "sample_trees", spy)
+        argv = ["sample", "--size", "30000", "--count", "3", "--format", fmt]
+        assert run(argv, out=Out(), err=StringIO()) == 0
+        draws = [i for i, e in enumerate(events) if e is None]
+        first_tree = next(i for i, e in enumerate(events) if e and "(" in e)
+        assert len(draws) == 3 and first_tree < draws[-1]
+        assert "".join(e for e in events if e) == invoke(*argv)[1]
+
     def test_seed_outside_64_bits(self):
         err = assert_fails_fast("sample", "--size", "5", "--seed", "-1")
         assert err == "error: seed must fit in 64 unsigned bits\n"

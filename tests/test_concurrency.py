@@ -46,7 +46,7 @@ def test_parallel_calls_agree_with_sequential():
 
 def test_constants_at_mixed_precisions_in_parallel():
     # callers at different precisions must not change each other's working
-    # precision, nor leave constants summed at another precision in the cache
+    # precision, and all of them round the one cached pass
     digits = range(20, 61)
     sequential = [constant_digits(i, d) for d in digits for i in range(4)]
     _constants.cache_clear()
