@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import asymptotics, stats, verify as verify_mod
 from .enumeration import count_trees, enumerate_trees, sample_trees
@@ -87,28 +87,38 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Each subparser carries its handler and the cap of its `--size` (None
+    if it has none); `run` checks that cap before it calls the handler."""
     parser = _Parser(
         prog="catalan-stanley",
         description="Catalan-Stanley tree growth process: exact and asymptotic statistics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = ("text", "json", "csv")
 
-    p_count = sub.add_parser("count", help="number of trees of a given size")
-    p_count.add_argument(
-        "--size", type=int, required=True, help=f"tree size, at most {MAX_COUNT_SIZE}"
-    )
-    p_count.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def command(name, handler, help, size_cap=None, unless_asym=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, size_cap=size_cap)
+        if size_cap is not None:
+            tail = " unless --asym" if unless_asym else ""
+            p.add_argument(
+                "--size", type=int, required=True, help=f"tree size, at most {size_cap}{tail}"
+            )
+        return p
 
-    p_enum = sub.add_parser("enumerate", help="list all trees of a given size")
-    p_enum.add_argument(
-        "--size", type=int, required=True, help=f"tree size, at most {MAX_ENUMERATE_SIZE}"
-    )
-    p_enum.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def exact_or_asym(p):
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--exact", action="store_true", default=True)
+        group.add_argument("--asym", action="store_true")
 
-    p_sample = sub.add_parser("sample", help="uniform random tree")
-    p_sample.add_argument(
-        "--size", type=int, required=True, help=f"tree size, at most {MAX_SAMPLE_SIZE}"
-    )
+    command(
+        "count", _cmd_count, "number of trees of a given size", MAX_COUNT_SIZE
+    ).add_argument("--format", choices=formats, default="text")
+    command(
+        "enumerate", _cmd_enumerate, "list all trees of a given size", MAX_ENUMERATE_SIZE
+    ).add_argument("--format", choices=formats, default="text")
+
+    p_sample = command("sample", _cmd_sample, "uniform random tree", MAX_SAMPLE_SIZE)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument(
         "--count", type=int, default=1,
@@ -117,40 +127,33 @@ def _build_parser() -> argparse.ArgumentParser:
             "--seed s --count c followed by --seed s+c is one longer run"
         ),
     )
-    p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_sample.add_argument("--format", choices=formats, default="text")
 
-    p_age = sub.add_parser("age", help="age distribution or asymptotics")
-    p_age.add_argument(
-        "--size", type=int, required=True,
-        help=f"tree size, at most {MAX_AGE_SIZE} unless --asym",
+    p_age = command(
+        "age", _cmd_age, "age distribution or asymptotics", MAX_AGE_SIZE, unless_asym=True
     )
-    group = p_age.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--asym", action="store_true")
-    p_age.add_argument("--format", choices=("text", "json", "csv"), default="csv")
+    exact_or_asym(p_age)
+    p_age.add_argument("--format", choices=formats, default="csv")
 
-    p_anc = sub.add_parser("ancestor", help="ancestor-size distribution or asymptotics")
-    p_anc.add_argument(
-        "--size", type=int, required=True,
-        help=f"tree size, at most {MAX_ANCESTOR_SIZE} unless --asym",
+    p_anc = command(
+        "ancestor", _cmd_ancestor, "ancestor-size distribution or asymptotics",
+        MAX_ANCESTOR_SIZE, unless_asym=True,
     )
     p_anc.add_argument("--depth", type=int, required=True, help="number of reductions r")
-    group = p_anc.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=True)
-    group.add_argument("--asym", action="store_true")
-    p_anc.add_argument("--format", choices=("text", "json", "csv"), default="csv")
+    exact_or_asym(p_anc)
+    p_anc.add_argument("--format", choices=formats, default="csv")
 
-    p_const = sub.add_parser("constants", help="limit constants c0..c3")
+    p_const = command("constants", _cmd_constants, "limit constants c0..c3")
     p_const.add_argument("--precision", type=int, default=30, help="decimal digits")
-    p_const.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    p_const.add_argument("--format", choices=formats, default="json")
 
-    p_bij = sub.add_parser("bijection", help="convert between tree and Dyck path")
+    p_bij = command("bijection", _cmd_bijection, "convert between tree and Dyck path")
     group = p_bij.add_mutually_exclusive_group(required=True)
     group.add_argument("--tree", help="balanced-parentheses word")
     group.add_argument("--path", help="word over U and D")
-    p_bij.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_bij.add_argument("--format", choices=formats, default="text")
 
-    p_verify = sub.add_parser("verify", help="run the cross-module invariant suite")
+    p_verify = command("verify", _cmd_verify, "run the cross-module invariant suite")
     p_verify.add_argument(
         "--max-size", type=int, default=12,
         help=f"largest enumerated tree size, at most {MAX_VERIFY_SIZE}",
@@ -228,7 +231,6 @@ def _check_size_cap(command: str, value: int, cap: int, flag: str = "--size") ->
 
 
 def _cmd_count(args, out) -> int:
-    _check_size_cap("count", args.size, MAX_COUNT_SIZE)
     value = count_trees(args.size)
     if args.format == "json":
         print(json.dumps({"size": args.size, "count": str(value)}), file=out)
@@ -240,14 +242,12 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    _check_size_cap("enumerate", args.size, MAX_ENUMERATE_SIZE)
     words = (t.serialize() for t in enumerate_trees(args.size))
     _emit_words(words, {"size": args.size}, args.format, out)
     return 0
 
 
 def _cmd_sample(args, out) -> int:
-    _check_size_cap("sample", args.size, MAX_SAMPLE_SIZE)
     _check_size_cap("sample", args.count, MAX_SAMPLE_COUNT, flag="--count")
     if args.count < 0:
         raise ValueError("sample --count must be nonnegative")
@@ -260,7 +260,10 @@ def _cmd_sample(args, out) -> int:
         sample_trees(args.size, 1, args.seed + i)[0].serialize()
         for i in range(args.count)
     )
-    _emit_words(words, {"size": args.size, "seed": args.seed}, args.format, out)
+    # tree 0 is drawn before the JSON header is written, so a size or seed
+    # that `sample_trees` refuses leaves stdout empty
+    first = list(islice(words, 1))
+    _emit_words(chain(first, words), {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 
 
@@ -282,7 +285,6 @@ def _cmd_age(args, out) -> int:
         variance = asymptotics.age_variance_asym(args.size)
         _emit_asym({"n": args.size}, mean, variance, args.format, out)
         return 0
-    _check_size_cap("age", args.size, MAX_AGE_SIZE)
     header = {"n": args.size, "kind": "age", "r": None}
     _emit_distribution(stats.age_distribution(args.size), header, args.format, out)
     return 0
@@ -294,7 +296,6 @@ def _cmd_ancestor(args, out) -> int:
         variance = asymptotics.ancestor_variance_asym(args.size, args.depth)
         _emit_asym({"n": args.size, "r": args.depth}, mean, variance, args.format, out)
         return 0
-    _check_size_cap("ancestor", args.size, MAX_ANCESTOR_SIZE)
     table = stats.ancestor_distribution(args.size, args.depth)
     header = {"n": args.size, "kind": "ancestor", "r": args.depth}
     _emit_distribution(table, header, args.format, out)
@@ -355,18 +356,6 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.ok else 1
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "enumerate": _cmd_enumerate,
-    "sample": _cmd_sample,
-    "age": _cmd_age,
-    "ancestor": _cmd_ancestor,
-    "constants": _cmd_constants,
-    "bijection": _cmd_bijection,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
     """Dispatch a command line; returns the process exit status."""
     out = sys.stdout if out is None else out
@@ -378,7 +367,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         (err if status else out).write(text)
         return status
     try:
-        return _HANDLERS[args.command](args, out)
+        if args.size_cap is not None and not getattr(args, "asym", False):
+            _check_size_cap(args.command, args.size, args.size_cap)
+        return args.handler(args, out)
     # TreeParseError, MalformedPathError and CapacityError are ValueErrors
     except (ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=err)

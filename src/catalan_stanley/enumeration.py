@@ -23,13 +23,18 @@ Each kept int8 row becomes its word by one byte translation.  One tree is
 `sample_trees(size, 1, seed)[0]`.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
-n-1 nodes, so `sample_reduced_sizes` draws those one by one, each as the
-first tree of a uniform plane forest, by an exact fixed-point inverse-CDF
-walk from both ends of its support.  Every row's first child comes from
-the same forest, so a call keeps that walk's running sums in one table
-and reads them by bisection.  A row costs O(sqrt(n)) integer steps (about
-0.025 ms at n = 10^4, 0.15 ms at 10^5 and 0.3-0.7 ms at 10^6), and every
-size comes out with its exact probability up to a relative 2^-46.
+n-1 nodes, so `sample_reduced_sizes` draws those one by one in a single
+loop, each as the first tree of a uniform plane forest, by an exact
+fixed-point inverse-CDF walk from both ends of its support; at sizes 1
+and 2 the loop draws nothing, and every ancestor at r >= 1 has size 1.
+Every row's first child comes from the same forest, so a call keeps that
+walk's running sums in one table and reads them by bisection.  A row
+costs O(sqrt(n)) integer steps (about 0.025 ms at n = 10^4, 0.15 ms at
+10^5 and 0.3-0.7 ms at 10^6), and every size comes out with its exact
+probability up to a relative 2^-46.
+
+numpy is imported inside the sampler functions, once a call, so counting
+and enumeration run without it.
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from typing import Iterator
-
-import numpy as np
 
 from .errors import CapacityError, SamplingError
 from .tree import _MAX_DEPTH, PlaneTree
@@ -210,6 +213,8 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> n
     bytes a step of one longer row, and is freed before the rotation.
     Prefix sums are int16 below 2^15 steps a row.
     """
+    import numpy as np
+
     m = semilength
     length = 2 * m + 1
     arr = np.empty((rows, length), dtype=np.int8)
@@ -236,6 +241,8 @@ def _odd_return_rows(paths: np.ndarray) -> np.ndarray:
     """Mask of the rows whose every maximal descent run ending at height 0
     has odd length; the run ending at step i has length i - (last up step <= i).
     Positions and heights are int16 below 2^15 steps a row."""
+    import numpy as np
+
     dtype = np.int16 if paths.shape[1] < 2**15 else np.int32
     pos = np.arange(paths.shape[1], dtype=dtype)
     run = pos * (paths == 1)  # a path opens with an up step, so 0 is never past the last one
@@ -299,6 +306,8 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
         raise ValueError("seed must fit in 64 unsigned bits")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     step_chars = bytes.maketrans(b"\x01\xff", b"()")  # int8 +1 / -1 steps as bytes
     round_cap = max(1, 2**21 // (2 * size - 1))
@@ -401,17 +410,15 @@ def _root_child_sizes(
     forest: int, draws: Iterator[int], bits: int, first_sums: list[int] | None = None
 ) -> Iterator[int]:
     """Root-child subtree sizes, in order, of a uniform plane tree on forest+1
-    nodes, forest >= 1.
+    nodes; none if forest <= 0.
 
     `first_sums` is the `_first_tree_size` table of `forest`, for the first
     child only; every later child is drawn by the plain walk."""
-    size = _first_tree_size(forest, next(draws), bits, first_sums)
-    yield size
-    forest -= size
-    while forest:
-        size = _first_tree_size(forest, next(draws), bits)
+    while forest > 0:
+        size = _first_tree_size(forest, next(draws), bits, first_sums)
         yield size
         forest -= size
+        first_sums = None
 
 
 def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np.ndarray:
@@ -438,10 +445,10 @@ def sample_reduced_sizes(size: int, count: int, seed: int = 0, r: int = 1) -> np
         raise ValueError("r must be nonnegative")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    import numpy as np
+
     if r == 0:
         return np.full(count, size, dtype=np.int64)
-    if size <= 2:
-        return np.ones(count, dtype=np.int64)
     forest = size - 2  # root children of a plane tree on size-1 nodes
     bits = _draw_bits(forest)
     draws = _uniform_draws(np.random.default_rng(seed), bits)

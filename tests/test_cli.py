@@ -15,15 +15,18 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import catalan_stanley.cli
 import catalan_stanley.enumeration
 import catalan_stanley.tree
 import catalan_stanley.verify
+from catalan_stanley.asymptotics import MAX_ASYM_DEPTH, MAX_DIGITS
 from catalan_stanley.cli import (
     MAX_AGE_SIZE,
     MAX_ANCESTOR_SIZE,
     MAX_COUNT_SIZE,
+    MAX_ENUMERATE_SIZE,
     MAX_SAMPLE_COUNT,
     MAX_SAMPLE_SIZE,
     MAX_VERIFY_ORDER,
@@ -817,6 +820,171 @@ class TestParserOutput:
             capture_output=True, text=True, env=env,
         )
         assert (done.returncode, done.stdout, done.stderr) == invoke(*argv)
+
+
+# Every decision the parser and the dispatch make shows in one of these
+# runs: each help text, the usage errors, every cap plus one (a refusal),
+# the two --asym runs past the exact caps, and one normal run per command
+# and format.
+CLI_PIN_ARGVS = [
+    ("--help",),
+    *((command, "--help") for command in (
+        "count", "enumerate", "sample", "age", "ancestor", "constants", "bijection", "verify",
+    )),
+    (),
+    ("nonsense",),
+    ("age",),
+    ("age", "--size", "4", "--exact", "--asym"),
+    ("count", "--size", "7001"),
+    ("enumerate", "--size", "17"),
+    ("sample", "--size", "100001"),
+    ("sample", "--size", "5", "--count", "101"),
+    ("age", "--size", "7001"),
+    ("ancestor", "--size", "481", "--depth", "1"),
+    ("verify", "--max-size", "15"),
+    ("verify", "--order", "81"),
+    ("verify", "--max-r", "41"),
+    ("age", "--size", "7001", "--asym"),
+    ("ancestor", "--size", "481", "--depth", "2", "--asym", "--format", "json"),
+    *(argv + ("--format", fmt) for fmt in ("text", "json", "csv") for argv in (
+        ("count", "--size", "9"),
+        ("enumerate", "--size", "6"),
+        ("sample", "--size", "8", "--seed", "3", "--count", "2"),
+        ("age", "--size", "9"),
+        ("ancestor", "--size", "9", "--depth", "1"),
+        ("constants", "--precision", "12"),
+        ("bijection", "--tree", "((()))"),
+    )),
+    ("bijection", "--path", "UUUDUDDD"),
+    *(("verify", "--max-size", "5", "--max-r", "2", "--order", "6", "--format", fmt)
+      for fmt in ("text", "json")),
+]
+# sha256 over (status, stdout, stderr) of every run above, recorded before
+# the subparsers carried their handlers and size caps
+CLI_PIN_SHA256 = "692af538cd59c7edb5281ea722c44eb5c98b982bd0705cb7a56a486a6dda620d"
+
+
+def test_cli_pin(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in CLI_PIN_ARGVS:
+        digest.update(repr(invoke(*argv)).encode())
+    assert digest.hexdigest() == CLI_PIN_SHA256
+
+
+
+def test_only_sample_imports_numpy():
+    """Every command but `sample` and `verify` runs without numpy, in a
+    fresh interpreter; `sample` loads it."""
+    script = (
+        "import io, sys\n"
+        "from catalan_stanley.cli import run\n"
+        "for argv in (['count', '--size', '5'], ['enumerate', '--size', '6'],\n"
+        "             ['age', '--size', '9'], ['age', '--size', '99', '--asym'],\n"
+        "             ['ancestor', '--size', '9', '--depth', '1'], ['constants'],\n"
+        "             ['bijection', '--tree', '(()())']):\n"
+        "    assert run(argv, out=io.StringIO()) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "assert run(['sample', '--size', '5'], out=io.StringIO()) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(catalan_stanley.tree.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def _numbers(cap, with_cap=False):
+    """Integer flag values: negative, 0, 1, 2-9, cap+1 and three past every
+    cap; the cap itself only where it runs quickly."""
+    edges = [-1, -(2**64), 0, 1, 2**53, 2**64, 10**30]
+    if cap is not None:
+        edges.append(cap + 1)
+    if with_cap:
+        edges.append(cap)
+    return st.sampled_from(edges) | st.integers(2, 9)
+
+
+_CHAIN = 10**5
+_WORDS = {
+    "--tree": ["(()())", "(((()())))", "()", "", "(()", "())(", "(x)", "[]",
+               "(" * _CHAIN + ")" * _CHAIN],
+    "--path": ["UUDD", "UUUDUDDD", "", "UUD", "DU", "UXD", "ud",
+               "U" * _CHAIN + "D" * _CHAIN],
+}
+# (flag, values) of every option of each command, in the parser's order
+_GRAMMAR = {
+    "count": [("--size", _numbers(MAX_COUNT_SIZE, with_cap=True))],
+    "enumerate": [("--size", _numbers(MAX_ENUMERATE_SIZE))],
+    "sample": [
+        ("--size", _numbers(MAX_SAMPLE_SIZE)),
+        ("--seed", _numbers(None)),
+        ("--count", _numbers(MAX_SAMPLE_COUNT)),
+    ],
+    "age": [("--size", _numbers(MAX_AGE_SIZE))],
+    "ancestor": [
+        ("--size", _numbers(MAX_ANCESTOR_SIZE)),
+        ("--depth", _numbers(MAX_ASYM_DEPTH)),
+    ],
+    "constants": [("--precision", _numbers(MAX_DIGITS, with_cap=True))],
+    "bijection": [
+        (flag, st.sampled_from(words) | st.text("()UD", max_size=12))
+        for flag, words in _WORDS.items()
+    ],
+    "verify": [
+        ("--max-size", _numbers(MAX_VERIFY_SIZE)),
+        ("--max-r", _numbers(MAX_VERIFY_R)),
+        ("--order", _numbers(MAX_VERIFY_ORDER)),
+    ],
+}
+# values no `verify` scope accepts (the scope must be at least 4, 1, 4)
+_NO_SCOPE = st.sampled_from([-1, 0, 2**53, 2**64, 10**30, MAX_VERIFY_ORDER + 1])
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    options = _GRAMMAR[command]
+    values = [draw(st.none() | values) for _, values in options]
+    if command == "verify":  # valid scopes are test_verify.py's
+        values[draw(st.integers(0, 2))] = draw(_NO_SCOPE)
+    argv = [command]
+    for (flag, _), value in zip(options, values):
+        if value is not None:
+            argv += [flag, str(value)]
+    if command in ("age", "ancestor"):
+        argv += draw(st.sampled_from([[], ["--exact"], ["--asym"], ["--exact", "--asym"]]))
+    fmt = draw(st.none() | st.sampled_from(["text", "json", "csv"]))
+    return argv + ([] if fmt is None else ["--format", fmt])
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(_command_lines())
+# a size or seed that `sample_trees` refuses prints nothing, not even the
+# JSON header
+@example(["sample", "--size", "-1", "--format", "json"])
+@example(["sample", "--size", "5", "--seed", "-1", "--format", "json"])
+def test_cli_contract(argv):
+    """Every command line of the parser's grammar exits 0, 1 or 2; a usage
+    or domain error prints nothing to stdout and, to stderr, one `error:`
+    line or an argparse usage block; a success prints text that parses in
+    its format."""
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        if err.startswith("usage: "):
+            assert ": error: " in err.splitlines()[-1]
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+    elif code == 0:
+        fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
+        if fmt == "json" or (fmt is None and argv[0] == "constants"):
+            json.loads(out)
+        elif fmt == "csv" or (fmt is None and argv[0] in ("age", "ancestor")):
+            # no field is quoted, so a row's width is its commas plus one
+            widths = {line.count(",") for line in out.splitlines()}
+            assert len(widths) <= 1
 
 
 class TestReportShape:

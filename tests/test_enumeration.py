@@ -404,6 +404,17 @@ class TestSampleReducedSizes:
     def test_tiny_sizes(self, size):
         assert list(sample_reduced_sizes(size, 3, seed=1)) == [1, 1, 1]
 
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tiny_sizes_within_support(self, n, seed):
+        """At every depth each draw is a size the exact pmf gives mass to,
+        and depth 0 is the size itself (the token route would count the
+        root of a size-1 tree twice)."""
+        for r in range(4):
+            draws = sample_reduced_sizes(n, 20, seed, r).tolist()
+            assert set(draws) <= set(ancestor_distribution(n, r).support), r
+        assert sample_reduced_sizes(n, 5, seed, r=0).tolist() == [n] * 5
+
     def test_deterministic(self):
         a = sample_reduced_sizes(50, 40, seed=8)
         b = sample_reduced_sizes(50, 40, seed=8)
