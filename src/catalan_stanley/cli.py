@@ -256,14 +256,15 @@ def _cmd_sample(args, out) -> int:
             f"sample --count {args.count} uses seeds up to {args.seed + args.count - 1}, "
             "and a seed must fit in 64 unsigned bits"
         )
-    words = (
+    # tree 0 is drawn (at --count 0, the size and seed only checked) before
+    # anything is written, so a size or seed that `sample_trees` refuses
+    # leaves stdout empty whatever the count
+    first = [tau.serialize() for tau in sample_trees(args.size, min(args.count, 1), args.seed)]
+    rest = (
         sample_trees(args.size, 1, args.seed + i)[0].serialize()
-        for i in range(args.count)
+        for i in range(1, args.count)
     )
-    # tree 0 is drawn before the JSON header is written, so a size or seed
-    # that `sample_trees` refuses leaves stdout empty
-    first = list(islice(words, 1))
-    _emit_words(chain(first, words), {"size": args.size, "seed": args.seed}, args.format, out)
+    _emit_words(chain(first, rest), {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 
 

@@ -15,17 +15,25 @@ reductions needed to reach the single-node tree.
 A tree has two encodings, and holds one of them or both.  Its word has one
 ``()`` pair per node in preorder; its depth string has one character per
 node in preorder, ``chr(depth)``, so the root is ``"\\x00"``.  Each is
-derived from the other on first use and then kept.  The word serves
-output, hashing and the glove bijection, which drops or adds the root's
-pair; a Dyck path is held as its word over ``(`` (+1) and ``)`` (-1).  The
-depth string serves membership, `age` and `reduce`: splitting it after the
-first root child at every ``"\\x01"`` gives each root branch's nodes below
-its root child, the last of them is the branch's marked leaf, and the
-leaf's grandparent is the last node before it at two levels up.
+derived from the other on first use and then kept.  Neither is ever empty,
+so ``==``, ``!=``, hashing, `is_leaf`, the glove bijection, membership,
+`age` and `reduce` each read the one they need with one attribute access,
+``tau._word or tau.serialize()`` or ``tau._depths or tau._depth_string()``,
+derive it only when it is missing and build their result object in place:
+on a tree that holds what they read, they call no other function of the
+package.  The word serves output, ``==``, ``!=``, hashing and the glove
+bijection, which drops or adds the root's pair; a Dyck path is held as its
+word over ``(`` (+1) and ``)`` (-1).  `size` and `is_leaf` answer from
+whichever encoding is held.  The depth string serves membership, `age` and
+`reduce`: splitting it after the first root child at every ``"\\x01"``
+gives each root branch's nodes below its root child, the last of them is
+the branch's marked leaf, and the leaf's grandparent is the last node
+before it at two levels up.
 
 ``chr`` stops at 0x10FFFF, so membership, `age` and `reduce` raise
 `CapacityError` on a tree deeper than 1,114,111; its word, and with it
-``serialize``, ``==``, ``hash`` and ``size``, work at any depth.
+``serialize``, ``==``, ``!=``, ``hash``, ``size`` and ``is_leaf``, work at
+any depth.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ class PlaneTree:
     one character per node, in preorder, ``chr`` of its depth.  A missing
     encoding is derived from the other on first use and kept; a race between
     threads only stores the same string twice.  Equality and hashing are the
-    word's and size reads whichever encoding is held, so they are string
-    operations that work on arbitrarily deep trees.
+    word's, and size and `is_leaf` read whichever encoding is held, so they
+    are string operations that work on arbitrarily deep trees.
     """
 
     __slots__ = ("_word", "_depths")
@@ -101,10 +109,15 @@ class PlaneTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return self.serialize() == other.serialize()
+        return (self._word or self.serialize()) == (other._word or other.serialize())
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, PlaneTree):
+            return NotImplemented
+        return (self._word or self.serialize()) != (other._word or other.serialize())
 
     def __hash__(self) -> int:
-        return hash(self.serialize())
+        return hash(self._word or self.serialize())
 
     def size(self) -> int:
         """Number of nodes."""
@@ -142,7 +155,9 @@ class PlaneTree:
 
     @property
     def is_leaf(self) -> bool:
-        return self.size() == 1
+        """True iff the tree is the single node, read off the held encoding."""
+        depths = self._depths
+        return self._word == "()" if depths is None else depths == "\x00"
 
     def __repr__(self) -> str:
         return f"PlaneTree({self.serialize()!r})"
@@ -239,9 +254,11 @@ def is_catalan_stanley(tau: PlaneTree) -> bool:
     """True iff every root branch's rightmost leaf has odd depth.
 
     The single-node tree belongs to the class.  A branch's rightmost leaf is
-    the last node of its piece of the depth string (see `_branches`).
+    the last node of its piece of the depth string: the string after the
+    root and the first root child, split at every root child (``"\\x01"``).
+    An empty piece is a leaf child, at depth 1.
     """
-    for piece in _branches(tau):
+    for piece in (tau._depths or tau._depth_string())[2:].split("\x01"):
         if piece and not ord(piece[-1]) % 2:
             return False
     return True
@@ -252,12 +269,17 @@ def tree_to_dyck(tau: PlaneTree) -> DyckPath:
 
     A tree's word is balanced, so the path is not checked again.
     """
-    return DyckPath._of(tau.serialize()[1:-1])
+    path = _new(DyckPath)
+    path._word = (tau._word or tau.serialize())[1:-1]
+    return path
 
 
 def dyck_to_tree(path: DyckPath) -> PlaneTree:
     """Inverse glove bijection; the result has semilength+1 nodes."""
-    return PlaneTree._of("(" + path._word + ")")
+    tau = _new(PlaneTree)
+    tau._word = "(" + path._word + ")"
+    tau._depths = None
+    return tau
 
 
 def has_odd_returns(path: DyckPath) -> bool:
@@ -282,16 +304,6 @@ _NOT_MEMBER = "tree is not Catalan-Stanley (a branch's rightmost leaf has even d
 _MAX_DEPTH = 0x10FFFF
 
 
-def _branches(tau: PlaneTree) -> list[str]:
-    """Each root branch's nodes below its root child, as depth-string pieces.
-
-    The depth string after the root and the first root child, split at every
-    root child (``"\\x01"``).  A piece's last character is the depth d of
-    its branch's marked leaf; an empty piece is a leaf child, d = 1.
-    """
-    return tau._depth_string()[2:].split("\x01")
-
-
 def reduce(tau: PlaneTree) -> PlaneTree:
     """One growth step backwards.
 
@@ -307,25 +319,30 @@ def reduce(tau: PlaneTree) -> PlaneTree:
     only its depth string.
     """
     kept = ["\x00"]
-    for piece in _branches(tau):
+    for piece in (tau._depths or tau._depth_string())[2:].split("\x01"):
         if piece:
             d = ord(piece[-1])
             if not d % 2:
                 raise NotCatalanStanleyError(_NOT_MEMBER)
             kept.append(piece[: piece.rfind(chr(d - 2)) + 1])
-    return PlaneTree._of(None, "\x01".join(kept))
+    out = _new(PlaneTree)
+    out._word = None
+    out._depths = "\x01".join(kept)
+    return out
 
 
 def age(tau: PlaneTree) -> int:
     """Number of reductions until the single-node tree is reached.
 
     Equals (1 + d)/2 where d is the maximum depth of the marked leaves, the
-    last characters of the pieces of `_branches`; raises at the first even one.
+    last characters of the depth string's pieces (see `is_catalan_stanley`);
+    raises at the first even one.
     """
-    if tau.is_leaf:
+    depths = tau._depths or tau._depth_string()
+    if len(depths) == 1:
         return 0
     deepest = 1
-    for piece in _branches(tau):
+    for piece in depths[2:].split("\x01"):
         if piece:
             d = ord(piece[-1])
             if not d % 2:

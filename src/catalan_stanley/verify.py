@@ -181,8 +181,8 @@ def _census(n: int) -> _Census:
     age_formula: Counter = Counter()
     chains: Counter = Counter()
     # the chain from each distinct first ancestor down, keyed by its depth
-    # string (one character per node); closure and contraction along it are
-    # checked once
+    # string (one character per node), which `reduce` always holds; closure
+    # and contraction along it are checked once
     chain_from: dict[str, tuple[int, ...]] = {}
     count = 0
     for tau in enumerate_trees(n):
@@ -195,7 +195,7 @@ def _census(n: int) -> _Census:
         by_formula = tree_ops.age(tau)
         age_formula[by_formula] += 1
         first = tree_ops.reduce(tau)
-        key = first._depth_string()
+        key = first._depths
         contraction_ok &= _contracts(n, first.size())
         if key not in chain_from:
             sizes = [first.size()]

@@ -181,6 +181,11 @@ class TestSample:
     def test_zero_count(self):
         assert invoke("sample", "--size", "6", "--seed", "1", "--count", "0") == (0, "", "")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_size_checked_at_zero_count(self, fmt):
+        err = assert_fails_fast("sample", "--size", "-1", "--count", "0", "--format", fmt)
+        assert err == "error: size must be positive\n"
+
     def test_negative_count(self):
         assert_fails_fast("sample", "--size", "5", "--count", "-3")
 
@@ -223,7 +228,8 @@ class TestSample:
     def test_seed_outside_64_bits(self):
         err = assert_fails_fast("sample", "--size", "5", "--seed", "-1")
         assert err == "error: seed must fit in 64 unsigned bits\n"
-        assert invoke("sample", "--size", "5", "--seed", "-1", "--count", "0") == (0, "", "")
+        err = assert_fails_fast("sample", "--size", "5", "--seed", "-1", "--count", "0")
+        assert err == "error: seed must fit in 64 unsigned bits\n"
         assert invoke("sample", "--size", "5", "--seed", str(2**64 - 3), "--count", "3")[0] == 0
 
     def test_size_cap(self):

@@ -1,9 +1,12 @@
+import os
 import random
+import sys
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import catalan_stanley
 from catalan_stanley.errors import (
     CapacityError,
     MalformedPathError,
@@ -187,20 +190,38 @@ def encodings(word, depths):
     return [PlaneTree._of(word), PlaneTree._of(None, depths), PlaneTree._of(word, depths)]
 
 
+def outcome(op, tau):
+    """What `op` gives on `tau`: a tree as its word, or the error it raises."""
+    try:
+        result = op(tau)
+    except NotCatalanStanleyError as exc:
+        return type(exc), str(exc)
+    return result.serialize() if isinstance(result, PlaneTree) else result
+
+
+TREE_OPS = (is_catalan_stanley, age, reduce, lambda t: ancestor(t, 1))
+
+
 def assert_encodings_agree(tau):
     """Every pair of encodings of one shape is equal with equal hashes, and
-    unequal to every encoding of the shape with one more root child."""
+    unequal to every encoding of the shape with one more root child.  Each
+    tree operation, run on a fresh tree of each encoding, gives the same
+    result or raises the same error."""
     word = tau.serialize()
     depths = depth_string(word)
     other = (word[:-1] + "())", depths + "\x01")
+    expected = [outcome(op, PlaneTree._of(word)) for op in TREE_OPS]
     for i in range(3):
         for j in range(3):
             assert encodings(word, depths)[i] == encodings(word, depths)[j]
+            assert not encodings(word, depths)[i] != encodings(word, depths)[j]
             assert encodings(word, depths)[i] != encodings(*other)[j]
+            assert not encodings(word, depths)[i] == encodings(*other)[j]
         fresh = encodings(word, depths)[i]
         assert hash(fresh) == hash(word)
         assert fresh.size() == tau.size()
         assert fresh.is_leaf == tau.is_leaf
+        assert [outcome(op, encodings(word, depths)[i]) for op in TREE_OPS] == expected
 
 
 class TestEncodings:
@@ -214,6 +235,11 @@ class TestEncodings:
     )
     def test_shapes(self, tau):
         assert_encodings_agree(tau)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_plane_tree(self, n):
+        for tau in plane_trees(n):
+            assert_encodings_agree(tau)
 
     @given(deep_tree_strategy())
     @settings(max_examples=20, deadline=None)
@@ -240,6 +266,41 @@ class TestEncodings:
         assert is_catalan_stanley(tau)
         assert age(tau) == nodes // 2
         assert reduce(tau).serialize() == "(" * (nodes - 2) + ")" * (nodes - 2)
+
+
+class TestCallBudget:
+    def test_census_pass_makes_only_its_own_calls(self):
+        """A census pass over the trees of size 10 (Dyck round trip, `!=`,
+        `age`, and a `reduce` chain with `is_leaf` and `size`) enters the
+        package's code once for each call it makes, and no more: every
+        operation reads the encoding the tree holds and builds its result in
+        place.  Counted with `sys.setprofile`, so no timing is involved."""
+        trees = list(enumerate_trees(10))
+        package = os.path.dirname(catalan_stanley.__file__) + os.sep
+        entered = 0
+
+        def profile(frame, event, _arg):
+            nonlocal entered
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                entered += 1
+
+        made = 0
+        sys.setprofile(profile)
+        try:
+            for tau in trees:
+                assert not dyck_to_tree(tree_to_dyck(tau)) != tau
+                age(tau)
+                made += 4
+                node = tau
+                while not node.is_leaf:
+                    node = reduce(node)
+                    node.size()
+                    made += 3
+                made += 1  # the `is_leaf` that ends the chain
+        finally:
+            sys.setprofile(None)
+        assert len(trees) == 1430
+        assert entered == made
 
 
 class TestDyckPath:
