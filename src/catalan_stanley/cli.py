@@ -54,16 +54,17 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # tree is written as it is drawn.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
-# `verify` runs its series, asymptotics and sampler layers in a second
-# process beside the census where two CPUs are usable.  As a fresh process
-# it takes about 0.4-0.6 s at default scope and about 2.2-2.8 s at
-# --max-size 14, where the census of size 14 alone takes about 1.3-1.4 s
-# and each extra size about 4x more.  The series layer (--max-r half the
-# order) takes 1.2 s at order 64, 2.7 s at 80 and 12 s at 128; all three
-# caps together take about 2.8-3.5 s (2-vCPU VM, Python 3.11).  Run
-# serially, as on one CPU, the three take about 0.7, 2.7 and 3.9 s.  Past
-# r = order/2 no tree of the series or of the census has that age, so a
-# larger --max-r only repeats checks.
+# `verify` forks one child for its series, asymptotics and sampler layers
+# where two CPUs are usable; the child pickles its checks into a pipe
+# while the caller builds the census.  As a fresh process it takes about
+# 0.4-0.8 s at default scope and about 1.4-2.0 s at --max-size 14, where
+# the census of size 14 alone takes about 1.3-1.4 s and each extra size
+# about 4x more.  The series layer (--max-r half the order) takes 1.2 s
+# at order 64, 2.7 s at 80 and 12 s at 128; all three caps together take
+# about 2.7-3.6 s (2-vCPU VM, Python 3.11).  Run serially, as on one CPU,
+# the three take about 0.5-0.7, 1.7-2.4 and 3.6-5.1 s.  Past r = order/2
+# no tree of the series or of the census has that age, so a larger
+# --max-r only repeats checks.
 MAX_VERIFY_SIZE = 14
 MAX_VERIFY_ORDER = 80
 MAX_VERIFY_R = MAX_VERIFY_ORDER // 2

@@ -263,21 +263,23 @@ def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
     deletes each branch's deepest pair and drops bare-mark branches, hence
     after r reductions a branch with pair sizes p_1..p_j contributes
     1 + p_1 + ... + p_{j-r} nodes if r <= j and is gone otherwise.
-    Verified against the tree-level reduce by exhaustive enumeration.
+
+    One pass over the sizes, holding only the current branch's pair sizes:
+    each mark adds its branch and starts the next, and the root closes the
+    last one.  `verify`'s `reduced_size_bijection` checks this against the
+    tree-level reduce on every tree up to size 10.
     """
-    branches: list[list[int]] = []
-    current: list[int] = []
+    total = 1
+    pairs: list[int] = []
     for s in child_sizes:
         if s == 1:
-            branches.append(current)
-            current = []
+            if r <= len(pairs):
+                total += 1 + sum(pairs[: len(pairs) - r])
+            pairs = []
         else:
-            current.append(s)
-    branches.append(current)  # the root closes the last branch
-    total = 1
-    for pairs in branches:
-        if r <= len(pairs):
-            total += 1 + sum(pairs[: len(pairs) - r])
+            pairs.append(s)
+    if r <= len(pairs):  # the root closes the last branch
+        total += 1 + sum(pairs[: len(pairs) - r])
     return total
 
 

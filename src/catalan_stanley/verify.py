@@ -10,14 +10,15 @@ the limit constants compare rationals: printed digits are parsed as
 error term against exact counts.  The sampler checks read their
 chi-square p-values from the closed form of the upper tail for integer df.
 
-The tree and stats layers read the census, which is cached per size in
-the calling process.  The series, asymptotics and sampler layers read
-none of it, so where two CPUs or more are usable, the fork start method
-exists and no other thread is alive, `run_verification` runs them in one
-forked worker process while the caller runs the census layers, then
-appends the worker's checks in their serial order; if the worker dies,
-the caller runs its layers.  Otherwise all five run in the caller, one
-after another.
+The tree and stats layers and the reduced-size bijection read the census,
+which is cached per size in the calling process.  The series, asymptotics
+and sampler layers read none of it, so where two CPUs or more are usable,
+`os.fork` exists and no other thread is alive, `run_verification` forks
+one child that runs them and writes one pickle of their checks, or of
+the first error, to a pipe, while the caller runs the census layers.
+The caller then reads the pipe, reaps the child and puts every check in
+its serial order; if the child died before it wrote, the caller runs its
+layers.  Otherwise every layer runs in the caller, one after another.
 """
 
 from __future__ import annotations
@@ -379,8 +380,11 @@ def _check_series_layer(report: VerifyReport, max_r: int, order: int) -> None:
             for a, (lo, hi) in enumerate(zip(at_most, at_most[1:])):
                 if hi != lo:
                     by_series[k, a] = hi - lo
-        by_trees = Counter((len(tau.children), min(tree_ops.age(tau), max_r + 1))
-                           for tau in enumerate_trees(n) if is_catalan_stanley(tau))
+        # a depth string has one "\x01" per root branch
+        by_trees = Counter(
+            ((tau._depths or tau._depth_string()).count("\x01"), min(tree_ops.age(tau), max_r + 1))
+            for tau in enumerate_trees(n) if is_catalan_stanley(tau)
+        )
         report.add(f"branch_age_counts({n})", f"n={n} r<={max_r} order={order}",
                    by_series, dict(sorted(by_trees.items())))
     f_leq_diag = [f.diagonal() for f in f_leq]
@@ -467,6 +471,10 @@ def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
 
 
 def _check_sampler_layer(report: VerifyReport) -> None:
+    """The tree sampler: one seed gives one tree, every draw is a member of
+    its size, and the draws of size 5 are uniform.  The reduced-size
+    sampler's checks follow in `_check_reduced_size_bijection`, which reads
+    the census, and `_check_reduced_size_sampler`, which does not."""
     first = sample_trees(30, 1, 12345)[0]
     second = sample_trees(30, 1, 12345)[0]
     report.add("sampler_deterministic", "size=30 seed=12345", first.serialize(), second.serialize())
@@ -487,15 +495,26 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     p_value = _chi_square_pvalue(observed, expected)
     report.add("sampler_uniform(5)", f"draws={draws}", p_value >= 0.001, True)
 
+
+def _check_reduced_size_bijection(report: VerifyReport) -> None:
+    """`_ancestor_size_from_tokens` on the root-child sizes of every plane
+    tree of size n-1 against the census's ancestor sizes, n <= 10: each
+    piece of a depth string after a ``"\\x01"`` is one root child less
+    its own node."""
     token_census_ok = True
     for n in range(2, 11):
-        child_sizes = [[c.size() for c in tau.children] for tau in plane_trees(n - 1)]
+        child_sizes = [
+            [len(piece) + 1 for piece in (tau._depths or tau._depth_string())[1:].split("\x01")[1:]]
+            for tau in plane_trees(n - 1)
+        ]
         for r in (1, 2, 3):
             via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
             if via_tokens != _census(n).ancestor_sizes(r):
                 token_census_ok = False
     report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)
 
+
+def _check_reduced_size_sampler(report: VerifyReport) -> None:
     exact = ancestor_distribution(9, 1)
     draws = 20000
     empirical = Counter(int(x) for x in sample_reduced_sizes(9, draws, seed=99))
@@ -506,16 +525,6 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     report.add("reduced_size_sampler(9,1)", f"draws={draws}", p_value >= 0.001, True)
 
 
-def _census_free_checks(max_r: int, order: int) -> list[Check]:
-    """The series, asymptotics and sampler layers, which read no census but
-    `reduced_size_bijection`'s sizes up to 10."""
-    report = VerifyReport()
-    _check_series_layer(report, max_r, order)
-    _check_asymptotics_layer(report, max_r)
-    _check_sampler_layer(report)
-    return report.checks
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -523,27 +532,34 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_pool():
-    """One forked worker process, or None where the layers should run serially:
-    a single usable CPU, no fork start method, or other live threads, which a
-    fork can deadlock.  Only a fork carries the module state, patches included,
-    into the worker."""
-    if _usable_cpus() < 2 or threading.active_count() > 1:
-        return None
-    # imported here, not with the module: it would add about 18 ms to every import
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+def _can_fork() -> bool:
+    """Whether `run_verification` forks a worker: two usable CPUs or more,
+    `os.fork`, and no other live thread, which a fork can deadlock."""
+    return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+
+def _outcomes(layers) -> list:
+    """Each layer's checks, run in order on a report of its own, up to the
+    first layer that raises; that one's error ends the list."""
+    outcomes: list = []
+    for layer in layers:
+        report = VerifyReport()
+        try:
+            layer(report)
+        except Exception as error:
+            outcomes.append(error)
+            break
+        outcomes.append(report.checks)
+    return outcomes
 
 
 def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> VerifyReport:
     """Run the whole invariant suite; see the CLI `verify` subcommand.
 
     The checks, their order and any error a layer raises are those of a
-    serial run, whichever process ran the layer.
+    serial run, whichever process ran the layer: each side stops at its
+    first error, and the outcomes are read back in serial order, so the
+    first error in that order is raised.
     """
     if max_size < 4:
         raise ValueError("max_size must be at least 4")
@@ -551,21 +567,59 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
         raise ValueError("max_r must be at least 1")
     if order < 4:
         raise ValueError("order must be at least 4")
+    # every layer in serial order, with whether it reads the census
+    layers = (
+        (True, lambda report: _check_tree_layer(report, max_size)),
+        (True, lambda report: _check_stats_layer(report, max_size, max_r)),
+        (False, lambda report: _check_series_layer(report, max_r, order)),
+        (False, lambda report: _check_asymptotics_layer(report, max_r)),
+        (False, _check_sampler_layer),
+        (True, _check_reduced_size_bijection),
+        (False, _check_reduced_size_sampler),
+    )
     report = VerifyReport()
-    pool = _fork_pool()
-    if pool is None:
-        _check_tree_layer(report, max_size)
-        _check_stats_layer(report, max_size, max_r)
-        report.checks += _census_free_checks(max_r, order)
+    if not _can_fork():
+        for _, layer in layers:
+            layer(report)
         return report
-    from concurrent.futures import BrokenExecutor
+    # imported here, not with the module: it adds about 2.6 ms (2-vCPU VM) to an import
+    import pickle
 
-    with pool:
-        rest = pool.submit(_census_free_checks, max_r, order)
-        _check_tree_layer(report, max_size)
-        _check_stats_layer(report, max_size, max_r)
+    census_free = [layer for reads, layer in layers if not reads]
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if not pid:
+        # the child inherits the module state, patches included, writes one
+        # pickle of its outcomes (nothing if they do not pickle) and leaves
+        # by `os._exit` whatever happens, so it runs no exit handler and
+        # flushes no stream it inherited
         try:
-            report.checks += rest.result()
-        except BrokenExecutor:  # the worker died (a signal, say): run its layers here
-            report.checks += _census_free_checks(max_r, order)
+            os.close(read_end)
+            data = pickle.dumps(_outcomes(census_free))
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            here = _outcomes([layer for reads, layer in layers if reads])
+            data = pipe.read()
+        except BaseException:  # interrupted: the worker's checks will not be read
+            import signal  # here only: its enums cost every import about 45 KB
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+    try:
+        there = pickle.loads(data)
+    except Exception:  # the worker died before it wrote them (a signal, say): run its layers here
+        there = _outcomes(census_free)
+    sides = {True: iter(here), False: iter(there)}
+    for reads, _ in layers:
+        outcome = next(sides[reads])
+        if isinstance(outcome, Exception):
+            raise outcome
+        report.checks += outcome
     return report

@@ -900,6 +900,23 @@ def test_only_sample_imports_numpy():
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_verify_imports_no_process_pool():
+    """`verify` forks its worker by hand, in a fresh interpreter, so neither
+    `multiprocessing` nor `concurrent.futures` is imported."""
+    script = (
+        "import io, sys\n"
+        "from catalan_stanley.cli import run\n"
+        "argv = ['verify', '--max-size', '5', '--max-r', '2', '--order', '6']\n"
+        "assert run(argv, out=io.StringIO()) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(catalan_stanley.tree.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def _numbers(cap, with_cap=False):
     """Integer flag values: negative, 0, 1, 2-9, cap+1 and three past every
     cap; the cap itself only where it runs quickly."""

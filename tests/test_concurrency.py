@@ -2,7 +2,6 @@
 
 import hashlib
 import io
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -90,7 +89,7 @@ def test_verify_ignores_precision_set_by_other_threads():
 
 # `run_verification` runs its census-free layers in a forked worker when it can;
 # patching `verify._usable_cpus` to 1 takes the serial path through the same layers
-FORKS = verify._usable_cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods()
+FORKS = verify._can_fork()
 
 
 def _verify(*argv):
@@ -125,6 +124,51 @@ def test_census_free_layers_run_in_a_forked_worker(monkeypatch):
     assert pid != str(os.getpid())
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not FORKS, reason="verify runs serially here")
+def test_no_child_outlives_the_run(monkeypatch):
+    run_verification(max_size=5, max_r=2, order=6)
+    _no_child_left()
+
+    def interrupted(report, max_size):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_check_tree_layer", interrupted)
+    with pytest.raises(KeyboardInterrupt):  # the caller kills the worker, then reaps it
+        run_verification(max_size=5, max_r=2, order=6)
+    _no_child_left()
+
+    def broken(report, max_size):
+        raise ValueError(f"tree layer at {max_size}")
+
+    monkeypatch.setattr(verify, "_check_tree_layer", broken)
+    with pytest.raises(ValueError) as forked:
+        run_verification(max_size=5, max_r=2, order=6)
+    _no_child_left()
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    with pytest.raises(ValueError) as serial:
+        run_verification(max_size=5, max_r=2, order=6)
+    assert str(forked.value) == str(serial.value) == "tree layer at 5"
+
+
+@pytest.mark.skipif(not FORKS, reason="verify runs serially here")
+def test_worker_reads_no_census(monkeypatch):
+    alone = run_verification(max_size=5, max_r=2, order=6).to_text()
+    caller, healthy = os.getpid(), verify._census
+
+    def census_in_caller(n):
+        if os.getpid() != caller:
+            raise AssertionError(f"the worker read the census of size {n}")
+        return healthy(n)
+
+    monkeypatch.setattr(verify, "_census", census_in_caller)
+    assert run_verification(max_size=5, max_r=2, order=6).to_text() == alone
+
+
 @pytest.mark.skipif(not FORKS, reason="verify runs serially here")
 def test_killed_worker_leaves_the_report_whole(monkeypatch):
     alone = run_verification(max_size=5, max_r=2, order=6).to_text()
@@ -137,6 +181,7 @@ def test_killed_worker_leaves_the_report_whole(monkeypatch):
 
     monkeypatch.setattr(verify, "_check_sampler_layer", dies_in_worker)
     assert run_verification(max_size=5, max_r=2, order=6).to_text() == alone
+    _no_child_left()
 
 
 @pytest.mark.parametrize(
