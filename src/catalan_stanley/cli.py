@@ -48,10 +48,10 @@ MAX_AGE_SIZE = 7000
 MAX_ANCESTOR_SIZE = 480
 # `count` prints C(n-2), which passes the same 4300-digit limit from 7155 on.
 MAX_COUNT_SIZE = MAX_AGE_SIZE
-# `sample` draws about 0.2-0.25 us per node: one tree of size 10^5 takes
-# about 0.02-0.03 s (median over 12 seeds), and the largest request (100
-# of them), as a fresh process, 2.5-3.7 s and 40 MiB in every format; each
-# tree is written as it is drawn.
+# `sample` draws about 0.17 us per node: one tree of size 10^5 takes
+# about 0.017 s (median over 12 seeds), and the largest request (100 of
+# them), as a fresh process, 2.0-2.4 s (median 2.2 of 6) and 39.5 MiB in
+# every format; each tree is written as it is drawn.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` forks one child for its series, asymptotics and sampler layers

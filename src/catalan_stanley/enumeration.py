@@ -19,8 +19,11 @@ trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  The shuffle,
 its largest cost, runs on int64 rows a chunk of at most 2^15 steps at a
 time, where numpy's `permuted` swaps fastest; the swaps and the draws
 they take are those of a shuffle of int8 rows, so the trees are too.
-Each kept int8 row becomes its word by one byte translation.  One tree is
-`sample_trees(size, 1, seed)[0]`.
+Membership is read off the unrotated rows: one prefix-sum pass gives
+each row's first minimum and its rotated path's returns, and each
+return's descent run is read backwards, eight steps at a time.  Only the
+kept rows are rotated, each by one slice of their translated block.  One
+tree is `sample_trees(size, 1, seed)[0]`.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
 n-1 nodes, so `sample_reduced_sizes` draws those one by one in a single
@@ -190,17 +193,22 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     return _dyck_trees(n - 1, odd_returns=True)
 
 
-# Steps `_draw_plane_paths` shuffles at a time: an int64 buffer of 256 KiB.
+# Steps `_shuffled_rows` shuffles at a time: an int64 buffer of 256 KiB.
 _SHUFFLE_STEPS = 2**15
 
+# Steps the membership kernel reads at once, as one little-endian uint64:
+# each shuffled row is preceded by its own last _WINDOW steps, so the
+# _WINDOW steps ending at any step, read cyclically, are contiguous.
+_WINDOW = 8
 
-def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> np.ndarray:
-    """Uniform Dyck paths of the given semilength, one int8 row of +1/-1 steps each.
+# int8 +1 / -1 steps as the bytes of "(" / ")"
+_STEP_CHARS = bytes.maketrans(b"\x01\xff", b"()")
 
-    Shuffle m up-steps among m+1 down-steps; of the 2m+1 rotations of such
-    a word exactly one, the one starting right after the first prefix-sum
-    minimum, is a Dyck path followed by a final down-step.  Every Dyck path
-    has the same number (2m+1) of preimages, so the draw is uniform.
+
+def _shuffled_rows(rng: np.random.Generator, semilength: int, rows: int) -> np.ndarray:
+    """Rows of m = semilength up-steps shuffled among m+1 down-steps, as int8
+    +1/-1 in columns _WINDOW on; columns 0.._WINDOW-1 repeat the row's last
+    _WINDOW steps (cyclically, if the row is shorter).
 
     numpy's `Generator.permuted` swaps 8-byte items in a fast loop and items
     of every other width through a generic copy, so the rows are shuffled
@@ -209,15 +217,15 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> n
     int8 rows.  The Fisher-Yates swaps and the draws they take from the
     stream depend neither on the item width nor on the chunking, so the
     rows and the generator's state afterwards are those of one `permuted`
-    call on all the int8 rows.  The buffer holds at most 256 KiB, or 8
-    bytes a step of one longer row, and is freed before the rotation.
-    Prefix sums are int16 below 2^15 steps a row.
+    call on all the int8 rows.  Past the int8 rows, the buffer holds at
+    most 256 KiB, or 8 bytes a step of one longer row.
     """
     import numpy as np
 
     m = semilength
     length = 2 * m + 1
-    arr = np.empty((rows, length), dtype=np.int8)
+    width = _WINDOW + length
+    padded = np.empty((rows, width), dtype=np.int8)
     chunk = max(1, _SHUFFLE_STEPS // length)
     buf = np.empty((min(rows, chunk), length), dtype=np.int64)
     for lo in range(0, rows, chunk):
@@ -225,31 +233,95 @@ def _draw_plane_paths(rng: np.random.Generator, semilength: int, rows: int) -> n
         block[:, :m] = 1
         block[:, m:] = -1
         rng.permuted(block, axis=1, out=block)
-        arr[lo : lo + len(block)] = block
-    buf = block = None  # freed before the rotation's temporaries
-    dtype = np.int16 if length < 2**15 else np.int32
-    start = arr.cumsum(axis=1, dtype=dtype).argmin(axis=1) + 1
-    # row i's rotation is the window of length 2m at start[i] in the doubled
-    # row, so no per-step index array is built
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((arr, arr), axis=1), 2 * m, axis=1
-    )
-    return windows[np.arange(rows), start]
+        padded[lo : lo + len(block), _WINDOW:] = block
+    for end in range(_WINDOW, 0, -length):  # the pad, from its end, a row at a time
+        fill = min(end, length)
+        padded[:, end - fill : end] = padded[:, width - fill :]
+    return padded
 
 
-def _odd_return_rows(paths: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose every maximal descent run ending at height 0
-    has odd length; the run ending at step i has length i - (last up step <= i).
-    Positions and heights are int16 below 2^15 steps a row."""
+def _cycle_lemma_rows(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which shuffled rows (see `_shuffled_rows`) rotate to Catalan-Stanley
+    paths, and the column of each row's steps where its rotation starts.
+
+    Of the 2m+1 rotations of a row with m up-steps and m+1 down-steps
+    exactly one, the one starting right after the first prefix-sum minimum
+    k, is a Dyck path followed by a final down-step (the cycle lemma).  Every
+    Dyck path has 2m+1 preimages, so the path is uniform.  It is read off
+    the unrotated row: after step i its height is h[i] - h[k] for i > k and
+    h[i] - h[k] - 1 for i < k, so its returns to the axis are the steps
+    i != k with h[i] - (i <= k) == h[k].  A row is kept if the descent run
+    ending at each return, read backwards from it and cyclically, is odd
+    (see `_odd_runs`).  One int16 prefix-sum pass (int32 from 2^15 steps a
+    row) gives both the minimum and the returns; past the comparison that
+    finds the returns, every step handles only them.
+    """
     import numpy as np
 
-    dtype = np.int16 if paths.shape[1] < 2**15 else np.int32
-    pos = np.arange(paths.shape[1], dtype=dtype)
-    run = pos * (paths == 1)  # a path opens with an up step, so 0 is never past the last one
-    np.maximum.accumulate(run, axis=1, out=run)
-    np.subtract(pos, run, out=run)
-    at_axis = paths.cumsum(axis=1, dtype=dtype) == 0
-    return ~(at_axis & ((run & 1) == 0)).any(axis=1)
+    rows, width = padded.shape
+    length = width - _WINDOW
+    dtype = np.int16 if length < 2**15 else np.int32
+    heights = padded[:, _WINDOW:].cumsum(axis=1, dtype=dtype)
+    first_min = heights.argmin(axis=1).astype(dtype)
+    low = heights[np.arange(rows), first_min]
+    heights -= (np.arange(length, dtype=dtype) <= first_min[:, None]).view(np.int8)
+    returns = heights == low[:, None]
+    heights = low = None  # each full-size array goes before the next is built
+    at = np.flatnonzero(returns)
+    returns = None
+    # each return's position in padded, less _WINDOW - 1: where the window
+    # of steps ending at it starts
+    at += at // length * _WINDOW + 1
+    # the _WINDOW steps from each byte of padded on, as one word
+    windows = np.ndarray((padded.size - _WINDOW + 1,), "<u8", padded, strides=(1,))
+    odd, longer = _odd_runs(windows[at])
+    longer = np.flatnonzero(longer)
+    while len(longer):  # runs of _WINDOW down steps or more: one window back
+        start = at[longer]
+        row_start = start // width * width
+        at[longer] = row_start + (start - row_start - _WINDOW - 1) % length + 1
+        odd[longer], down = _odd_runs(windows[at[longer]])
+        longer = longer[down]
+    keep = np.ones(rows, dtype=bool)
+    keep[at[~odd] // width] = False
+    return keep, first_min + 1
+
+
+def _odd_runs(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the descent run ending at the last step of each window is
+    odd, and whether the window holds down steps only; the windows are
+    _WINDOW steps each, read as little-endian uint64 words of 0x01 (up) and
+    0xff (down) bytes, and are overwritten.
+
+    In a word's complement only up steps' bytes are nonzero, and the
+    highest of them is the run's last up step: the run is odd if that
+    byte's index is even, that is, if the even bytes outweigh the odd ones.
+    A word of down steps only reads as even; the run goes on in the window
+    before, and a whole window of down steps keeps its parity.
+    """
+    import numpy as np
+
+    np.invert(windows, out=windows)
+    down = windows == 0
+    even = windows & np.uint64(0x00FF00FF00FF00FF)
+    windows &= np.uint64(0xFF00FF00FF00FF00)
+    return even > windows, down
+
+
+def _rotated_words(padded: np.ndarray, keep: np.ndarray, start: np.ndarray) -> list[str]:
+    """The tree word of each kept row, in row order: "(" and the row's steps
+    from `start` on, then those before it.
+
+    The rotation ends with step start-1, the row's final down-step, which
+    closes the root.  The kept rows are doubled and translated in one block,
+    so each word is one slice of it."""
+    import numpy as np
+
+    kept = padded[keep, _WINDOW:]
+    length = kept.shape[1]
+    text = np.concatenate((kept, kept), axis=1).tobytes().translate(_STEP_CHARS).decode()
+    offsets = np.arange(0, len(text), 2 * length) + start[keep]
+    return ["(" + text[o : o + length] for o in offsets.tolist()]
 
 
 def _ancestor_size_from_tokens(child_sizes, r: int) -> int:
@@ -297,10 +369,13 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     path is longer) and never more paths than trees are still needed, so
     memory stays bounded at every size.  The rows of a round are shuffled
     one after another from the same stream, in int64 chunks of at most
-    2^15 steps (one row, if a row is longer; see `_draw_plane_paths`), so
+    2^15 steps (one row, if a row is longer; see `_shuffled_rows`), so
     the trees depend neither on how the draws split into rounds nor on how
     a round splits into chunks.  Past the int8 rows of a round, the
     shuffle holds at most 256 KiB, or 8 bytes a step of one longer row.
+    Membership is decided on the unrotated rows (`_cycle_lemma_rows`), and
+    only the kept rows, about one in four, are rotated and turned into
+    words (`_rotated_words`).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -311,19 +386,15 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    step_chars = bytes.maketrans(b"\x01\xff", b"()")  # int8 +1 / -1 steps as bytes
     round_cap = max(1, 2**21 // (2 * size - 1))
     out: list[PlaneTree] = []
     draws = count * _DRAWS_PER_TREE
     draws_left = draws
     while len(out) < count and draws_left > 0:
         rows = min(draws_left, count - len(out), round_cap)
-        paths = _draw_plane_paths(rng, size - 1, rows)
+        padded = _shuffled_rows(rng, size - 1, rows)
         draws_left -= rows
-        out.extend(
-            PlaneTree._of("(" + row.tobytes().translate(step_chars).decode() + ")")
-            for row in paths[_odd_return_rows(paths)]
-        )
+        out.extend(map(PlaneTree._of, _rotated_words(padded, *_cycle_lemma_rows(padded))))
     if len(out) < count:
         raise SamplingError(
             f"accepted {len(out)} of {count} Catalan-Stanley trees of size {size} "
@@ -369,11 +440,12 @@ def _first_tree_size(forest: int, draw: int, bits: int, sums: list[int] | None =
     end, in min(j, forest+1-j) steps.  The masses are integers in units of
     2**-bits: p(1) = (forest+1) / (4 forest - 2) and
     p(j+1)/p(j) = (4j-2)(forest-j+1) / ((j+1)(4(forest-j)-2)), each product
-    rounded down.  The draws left over by the rounding go to the middle size
-    (when forest is even, to the middle on the side the walk started from),
-    so every draw ends in range.  With `draw` uniform in [0, 2**bits) and
-    bits at least `_draw_bits(forest)`, every j comes out with probability
-    p(j) up to a relative 2**-46.
+    rounded down; the factors step by 4 or 1 with j, and are set up only if
+    the walk takes a step.  The draws left over by the rounding go to the
+    middle size (when forest is even, to the middle on the side the walk
+    started from), so every draw ends in range.  With `draw` uniform in
+    [0, 2**bits) and bits at least `_draw_bits(forest)`, every j comes out
+    with probability p(j) up to a relative 2**-46.
 
     `sums`, if given, is a table of the walk's running sums S_1 <= S_2 <= ...
     of the floored masses for this forest and width, shared by the calls
@@ -384,8 +456,10 @@ def _first_tree_size(forest: int, draw: int, bits: int, sums: list[int] | None =
     bisection whenever the table holds an S_i above rest or reaches the
     middle, and otherwise the walk resumes from the table's last entry.
     """
-    rest = draw >> 1
     middle = (forest + 1) // 2
+    if middle == 1 and sums is None:  # one or two nodes: the walk takes no step
+        return forest if draw & 1 else 1
+    rest = draw >> 1
     if sums:
         j = bisect_right(sums, rest) + 1
         if j <= len(sums) or j >= middle:
@@ -399,12 +473,20 @@ def _first_tree_size(forest: int, draw: int, bits: int, sums: list[int] | None =
         mass = total = ((forest + 1) << (bits - 1)) // (2 * forest - 1)
         if sums is not None:
             sums.append(total)
-    while j < middle and rest >= total:
-        mass = mass * ((4 * j - 2) * (forest - j + 1)) // ((j + 1) * (4 * (forest - j) - 2))
-        total += mass
-        j += 1
-        if sums is not None and j <= _TABLE_CAP:
-            sums.append(total)
+    if j < middle and rest >= total:
+        # the factors of p(j+1)/p(j) but j+1, which is j after the step
+        up, left, right = 4 * j - 2, forest - j + 1, 4 * (forest - j) - 2
+        while True:
+            j += 1
+            mass = mass * (up * left) // (j * right)
+            total += mass
+            if sums is not None and j <= _TABLE_CAP:
+                sums.append(total)
+            if j == middle or rest < total:
+                break
+            up += 4
+            left -= 1
+            right -= 4
     return forest + 1 - j if draw & 1 else j
 
 

@@ -7,17 +7,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import catalan_stanley.enumeration
 from catalan_stanley.enumeration import (
     _TAIL,
+    _WINDOW,
     _ancestor_size_from_tokens,
+    _cycle_lemma_rows,
     _draw_bits,
-    _draw_plane_paths,
     _dyck_trees,
     _first_tree_size,
-    _odd_return_rows,
     _root_child_sizes,
+    _rotated_words,
+    _shuffled_rows,
     _uniform_draws,
     catalan,
     count_trees,
@@ -28,7 +31,15 @@ from catalan_stanley.enumeration import (
 )
 from catalan_stanley.errors import CapacityError, SamplingError
 from catalan_stanley.stats import ancestor_distribution, max_ancestor_size
-from catalan_stanley.tree import DyckPath, PlaneTree, age, has_odd_returns, is_catalan_stanley
+from catalan_stanley.tree import (
+    DyckPath,
+    PlaneTree,
+    age,
+    dyck_to_tree,
+    has_odd_returns,
+    is_catalan_stanley,
+    parse_tree,
+)
 
 from tree_shapes import chain, depth_string, star
 
@@ -288,17 +299,63 @@ class TestSampleTrees:
         assert [t.size() for t in trees] == [10**4, 10**4]
         assert peak < 32 * 2**20
 
+    def test_pinned_draws_past_int16_heights(self):
+        """sha256 over the trees of every (size, count, seed) below: rows of
+        32767 steps (int16 heights) and of 32769 and 39999 (int32); recorded
+        before the membership step read the unrotated rows."""
+        digest = hashlib.sha256()
+        for size in (16384, 16385, 20000):
+            for seed in PIN_SEEDS:
+                for c in (1, 3):
+                    digest.update(repr((size, c, seed)).encode())
+                    words = "\n".join(t.serialize() for t in sample_trees(size, c, seed))
+                    digest.update(words.encode())
+        assert digest.hexdigest() == (
+            "b0ccab4ec26fc5323e10f14daab0e3901a7282d72e66aa8119530185134700c6"
+        )
+
+    def test_pinned_draws_over_many_rounds(self):
+        """sha256 over 500 trees of size 1000 for two seeds, 27 and 29
+        rounds; recorded before the membership step read the unrotated rows."""
+        digest = hashlib.sha256()
+        for seed in (1, 2**64 - 1):
+            digest.update(repr((1000, 500, seed)).encode())
+            words = "\n".join(t.serialize() for t in sample_trees(1000, 500, seed))
+            digest.update(words.encode())
+        assert digest.hexdigest() == (
+            "407771b63c858ec0dbab5e18e859abf66e98bf78e92dee24a1fd4febb48130c9"
+        )
+
     def test_path_rotation_memory_is_bounded(self):
-        """180,000 int8 steps; an int64 rotation index over every step
-        peaked at about 3.8 MiB."""
+        """A round of 20000 rows of 9 steps, rotating only the kept rows; an
+        int64 rotation index over every step peaked at about 3.8 MiB, and
+        rotating every row through a doubled copy at 0.98 MiB before the
+        membership mask."""
         tracemalloc.start()
         try:
-            paths = _draw_plane_paths(np.random.default_rng(0), 4, 20000)
+            padded = _shuffled_rows(np.random.default_rng(0), 4, 20000)
+            words = _rotated_words(padded, *_cycle_lemma_rows(padded))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert paths.shape == (20000, 8)
+        assert padded.shape == (20000, _WINDOW + 9)
+        assert all(is_catalan_stanley(parse_tree(w)) for w in words)
         assert peak < 2 * 2**20
+
+    def test_round_memory_is_bounded(self):
+        """One round of 500 rows at size 1000: shuffle, membership and the
+        kept words.  Rotating every row and masking the rotated rows peaked
+        at 6.67 MiB; reading the unrotated rows peaks at about 4.8 MiB (5.5
+        on a process's first call)."""
+        tracemalloc.start()
+        try:
+            padded = _shuffled_rows(np.random.default_rng(0), 999, 500)
+            words = _rotated_words(padded, *_cycle_lemma_rows(padded))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(words) < 500
+        assert peak < 6 * 2**20
 
     @pytest.mark.parametrize(
         "semilength,rows",
@@ -307,19 +364,18 @@ class TestSampleTrees:
     )
     def test_chunked_shuffle_matches_one_int8_call(self, semilength, rows):
         """The int64 chunks draw the rows and leave the generator as one
-        `permuted` call over all the int8 rows does."""
+        `permuted` call over all the int8 rows does; each row is preceded by
+        its last _WINDOW steps."""
         length = 2 * semilength + 1
         reference_rng = np.random.default_rng(rows)
         steps = np.full((rows, length), -1, dtype=np.int8)
         steps[:, :semilength] = 1
         reference_rng.permuted(steps, axis=1, out=steps)
-        start = steps.cumsum(axis=1).argmin(axis=1) + 1
-        rotation = (start[:, None] + np.arange(2 * semilength)) % length
-        expected = np.take_along_axis(steps, rotation, axis=1)
         rng = np.random.default_rng(rows)
-        paths = _draw_plane_paths(rng, semilength, rows)
-        assert paths.dtype == np.int8
-        assert np.array_equal(paths, expected)
+        padded = _shuffled_rows(rng, semilength, rows)
+        assert padded.dtype == np.int8
+        assert np.array_equal(padded[:, _WINDOW:], steps)
+        assert np.array_equal(padded[:, :_WINDOW], steps[:, length - _WINDOW :])
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     @pytest.mark.parametrize("steps", [1, 7, catalan_stanley.enumeration._SHUFFLE_STEPS])
@@ -335,32 +391,94 @@ class TestSampleTrees:
         Keeping the buffer through the rotation peaked at 3.24 MiB."""
         tracemalloc.start()
         try:
-            paths = _draw_plane_paths(np.random.default_rng(0), 10**5, 1)
+            padded = _shuffled_rows(np.random.default_rng(0), 10**5, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert paths.shape == (1, 2 * 10**5)
+        assert padded.shape == (1, _WINDOW + 2 * 10**5 + 1)
         assert peak < 2 * 2**20
 
     def test_odd_return_mask_memory_is_bounded(self):
-        """160,000 int8 steps; int32 positions and heights with a fresh array
-        per step peaked at about 1.98 MiB."""
-        paths = _draw_plane_paths(np.random.default_rng(0), 4, 20000)
+        """The membership step on 20000 rows of 9 steps (about 40000
+        returns); int32 positions and heights with a fresh array per step
+        over the rotated rows peaked at about 1.98 MiB, and int64 start
+        columns beside the returns' windows at 1.72 MiB."""
+        padded = _shuffled_rows(np.random.default_rng(0), 4, 20000)
         tracemalloc.start()
         try:
-            mask = _odd_return_rows(paths)
+            keep, start = _cycle_lemma_rows(padded)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mask.shape == (20000,)
+        assert keep.shape == start.shape == (20000,)
         assert peak < 1.25 * 2**20
 
     @pytest.mark.parametrize("semilength,rows", [(4, 2000), (16383, 3), (16384, 3)])
     def test_odd_return_mask_matches_path_check(self, semilength, rows):
-        """Both position widths: int16 below 2^15 steps a row, int32 from there."""
-        paths = _draw_plane_paths(np.random.default_rng(semilength), semilength, rows)
-        expected = [has_odd_returns(DyckPath(tuple(row))) for row in paths.tolist()]
-        assert _odd_return_rows(paths).tolist() == expected
+        """Both height widths: int16 below 2^15 steps a row, int32 from there."""
+        padded = _shuffled_rows(np.random.default_rng(semilength), semilength, rows)
+        _check_membership(padded[:, _WINDOW:].tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda m: st.lists(st.permutations([1] * m + [-1] * (m + 1)), min_size=1, max_size=6)
+        )
+    )
+    def test_membership_matches_path_check(self, rows):
+        """Any rows of m up-steps and m+1 down-steps, m up to 40, so that
+        descent runs span several windows (the unshuffled row is one)."""
+        _check_membership(rows)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 1, -1, 1, -1, -1, -1],
+            [1, -1, -1, 1, -1],
+            [-1, -1, 1, 1, -1],
+            [1] * 20 + [-1] * 21,
+            [1] * 21 + [-1] * 22,
+            [-1] * 10 + [1] * 21 + [-1] * 12,
+            [-1] * 9 + [1] * 20 + [-1] * 12,
+            [-1],
+        ],
+        ids=[
+            "first-minimum-last",
+            "odd-return-wrapped",
+            "even-return-wrapped",
+            "even-run-past-a-window",
+            "odd-run-past-a-window",
+            "odd-run-past-a-window-and-the-row-start",
+            "even-run-past-a-window-and-the-row-start",
+            "size-one",
+        ],
+    )
+    def test_membership_of_fixed_rows(self, row):
+        """The identity rotation, returns in the wrapped part, and final
+        descent runs longer than the kernel's window, also across the
+        row's start."""
+        _check_membership([row])
+
+
+def _check_membership(rows: list[list[int]]) -> None:
+    """`_cycle_lemma_rows` and `_rotated_words` on rows of +1/-1 steps
+    against the cycle-lemma rotation after the first minimum and
+    `has_odd_returns`, one row at a time."""
+    steps = np.array(rows, dtype=np.int8)
+    padded = np.take(steps, range(-_WINDOW, steps.shape[1]), axis=1, mode="wrap")
+    keep, start = _cycle_lemma_rows(padded)
+    expected_starts, expected_keep, expected_words = [], [], []
+    for row in rows:
+        heights = list(itertools.accumulate(row))
+        first_min = heights.index(min(heights))
+        path = DyckPath(row[first_min + 1 :] + row[:first_min])
+        expected_starts.append(first_min + 1)
+        expected_keep.append(has_odd_returns(path))
+        if expected_keep[-1]:
+            expected_words.append(dyck_to_tree(path).serialize())
+    assert start.tolist() == expected_starts
+    assert keep.tolist() == expected_keep
+    assert _rotated_words(padded, keep, start) == expected_words
 
 
 class TestSampleReducedSizes:
