@@ -12,10 +12,11 @@ import functools
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
+from operator import itemgetter
 
 from . import asymptotics, stats, verify as verify_mod
-from .enumeration import count_trees, enumerate_trees, sample_trees
+from .enumeration import _tree_blocks, count_trees, sample_trees
 from .errors import CapacityError, SamplingError
 from .tree import (
     DyckPath,
@@ -27,10 +28,12 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees at about 0.6-0.8 us each: size 16 (C(14),
-# about 2.7 million trees) takes about 1.5-2.2 s and peaks at 31 MiB RSS as
-# a fresh process in every format, size 25 would take about three days
-# (2-vCPU VM, Python 3.11).
+# `enumerate` prints C(n-2) trees, a block of words sharing one prefix per
+# join and no tree object made: size 16 (C(14), about 2.7 million trees)
+# takes 0.40-0.58 s (medians 0.47-0.55 s of three runs) and peaks at
+# 16.7-16.9 MiB RSS as a fresh process in every format.  Size 17 (C(15),
+# about 9.7 million trees) would take 1.2-1.4 s and print 339,319,575 bytes
+# of text or 368,404,134 of JSON, at the same peak (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2.0-2.3 s, most of it one gcd per line, and peaks at 41 MiB RSS in
@@ -207,23 +210,33 @@ def _emit_distribution(table: stats.DistributionTable, header: dict, fmt: str, o
             out.write(f"{v} {mass}\n")
 
 
-def _emit_words(words, header: dict, fmt: str, out) -> None:
+def _emit_words(blocks, header: dict, fmt: str, out) -> None:
     """Tree words one a line, or for "json" the bytes `json.dumps` prints
-    for the keys of `header` followed by the list "trees".  A size's words
-    share one length, so each `write` takes about 2^17 characters: a few
+    for the keys of `header` followed by the list "trees".  The words come
+    in blocks of a prefix and a tuple of tails, each tail one word after the
+    prefix (a sampled tree is one tail after an empty prefix), and a block
+    is written with one join.  A word holds only "(" and ")", so its JSON
+    string is the word in quotes.  A size's words share one length, so
+    blocks are gathered up to about 2^17 characters a `write`: a few
     thousand words of an enumeration, one word of a large sample.  Neither
     the list nor its text is held whole."""
-    words = iter(words)
     per_write = max(1, 2**17 // (2 * header["size"] + 4))
-    chunks = iter(lambda: list(islice(words, per_write)), [])
     if fmt == "json":
         out.write(json.dumps(header)[:-1] + ', "trees": [')
-        for i, chunk in enumerate(chunks):
-            out.write((", " if i else "") + json.dumps(chunk)[1:-1])
-        out.write("]}\n")
+        opening, between, closing, glue = '"', '", "', '"', ", "
     else:
-        for chunk in chunks:
-            out.write("\n".join(chunk) + "\n")
+        opening, between, closing, glue = "", "\n", "\n", ""
+    lead, pieces, words = "", [], 0
+    for prefix, tails in blocks:
+        pieces.append(opening + prefix + (between + prefix).join(tails) + closing)
+        words += len(tails)
+        if words >= per_write:
+            out.write(lead + glue.join(pieces))
+            lead, pieces, words = glue, [], 0
+    if pieces:
+        out.write(lead + glue.join(pieces))
+    if fmt == "json":
+        out.write("]}\n")
 
 
 def _check_size_cap(command: str, value: int, cap: int, flag: str = "--size") -> None:
@@ -243,8 +256,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
-    words = (t.serialize() for t in enumerate_trees(args.size))
-    _emit_words(words, {"size": args.size}, args.format, out)
+    blocks = map(itemgetter(0, 2), _tree_blocks(args.size))
+    _emit_words(blocks, {"size": args.size}, args.format, out)
     return 0
 
 
@@ -260,9 +273,11 @@ def _cmd_sample(args, out) -> int:
     # tree 0 is drawn (at --count 0, the size and seed only checked) before
     # anything is written, so a size or seed that `sample_trees` refuses
     # leaves stdout empty whatever the count
-    first = [tau.serialize() for tau in sample_trees(args.size, min(args.count, 1), args.seed)]
+    first = [
+        ("", (tau.serialize(),)) for tau in sample_trees(args.size, min(args.count, 1), args.seed)
+    ]
     rest = (
-        sample_trees(args.size, 1, args.seed + i)[0].serialize()
+        ("", (sample_trees(args.size, 1, args.seed + i)[0].serialize(),))
         for i in range(1, args.count)
     )
     _emit_words(chain(first, rest), {"size": args.size, "seed": args.seed}, args.format, out)

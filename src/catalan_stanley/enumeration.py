@@ -8,9 +8,12 @@ descents.  A tree is held as that word, its depth string, or both (see
 `tree`), so both routes below make strings, not nodes.  Generation is a
 depth-first walk over Dyck words in that order down to the last ten
 steps, whose completions it reads from a fixed table of (word tail, depth
-tail) pairs; each tree holds both encodings, so `reduce`, `age` and
-membership derive nothing.  It streams the trees in O(size) memory, at
-0.45-0.85 us a tree at size 13 (noisy 2-vCPU VM).
+tail) pairs, so it yields one block a prefix: the prefix, its depth string
+and the table's tuples of tails.  `enumerate_trees` makes each tree of a
+block hold both encodings, so `reduce`, `age` and membership derive
+nothing; it streams the trees in O(size) memory, at 0.7-0.9 us a tree at
+size 13.  The CLI's `enumerate` joins each block's words into its output
+and makes no tree, at about 0.13 us a word (noisy 2-vCPU VM).
 
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths
 (balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
 from typing import Iterator
 
 from .errors import CapacityError, SamplingError
@@ -112,25 +116,31 @@ def _completion_table(
 _COMPLETIONS = {odd: _completion_table(odd) for odd in (False, True)}
 
 
-def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
-    """Plane trees with semilength+1 nodes, in U<D lex order of their Dyck words.
+# word prefix, depth prefix, word tails, depth tails
+_Block = tuple[str, str, tuple[str, ...], tuple[str, ...]]
+
+
+def _dyck_blocks(semilength: int, odd_returns: bool) -> Iterator[_Block]:
+    """Plane trees with semilength+1 nodes, in U<D lex order of their Dyck
+    words, as blocks (word prefix, depth prefix, word tails, depth tails):
+    each prefix joined to each of its tails is one tree's word, and likewise
+    for the depth strings.  A block comes for every prefix with at least one
+    completion, and its tails are in lex order.
 
     A depth-first walk over all but the last _TAIL steps: step up while
     the prefix can still return to height 0, else down; after each prefix,
     backtrack to the last up step that can turn into a down step.  The walk
     keeps the prefix's depth string next to its word: an up step from
-    height h appends ``chr(h + 1)``.  Each prefix is joined once and
-    extended by every completion that `_completion_table` lists for its
-    state, in lex order, so a tree costs two string concatenations and one
-    `PlaneTree` that holds both encodings.  With odd_returns a step down to
-    height 0 must end an odd descent run; a prefix whose forced final
-    descent is even has no completions.  Memory is O(semilength) plus the
-    table, which does not depend on the size.
+    height h appends ``chr(h + 1)``.  Each prefix's tails are the entry
+    `_completion_table` lists for its state, shared, not copied, so a
+    block costs two joins whatever its number of trees.  With odd_returns a
+    step down to height 0 must end an odd descent run; a prefix whose forced
+    final descent is even has no completions and no block.  Memory is
+    O(semilength) plus the table, which does not depend on the size.
     """
     steps = 2 * semilength
     cut = max(0, steps - _TAIL)
     table = _COMPLETIONS[odd_returns]
-    tree_of = PlaneTree._of
     word = ["("]  # the root's "(", then one character per step
     depth = ["\x00"]  # the root, then one node per up step
     runs: list[int] = []  # descent length after each step, 0 after an up step
@@ -148,13 +158,9 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
                 word.append(")")
                 runs.append(runs[-1] + 1)
                 height -= 1
-        prefix = "".join(word)
-        depth_prefix = "".join(depth)
-        parity = runs[-1] % 2 if runs else 0
-        words, depths = table[steps - cut, height, parity]
-        yield from map(
-            tree_of, map(prefix.__add__, words), map(depth_prefix.__add__, depths)
-        )
+        words, depths = table[steps - cut, height, runs[-1] % 2 if runs else 0]
+        if words:
+            yield "".join(word), "".join(depth), words, depths
         while True:
             if not runs:
                 return
@@ -171,11 +177,31 @@ def _dyck_trees(semilength: int, odd_returns: bool) -> Iterator[PlaneTree]:
                     break
 
 
+def _trees(blocks: Iterator[_Block]) -> Iterator[PlaneTree]:
+    """The trees of `_dyck_blocks`' blocks, in order: two string
+    concatenations and one `PlaneTree` that holds both encodings a tree."""
+    tree_of = PlaneTree._of
+    return chain.from_iterable(
+        map(tree_of, map(prefix.__add__, words), map(depth_prefix.__add__, depths))
+        for prefix, depth_prefix, words, depths in blocks
+    )
+
+
+def _tree_blocks(n: int) -> Iterator[_Block]:
+    """The blocks of `_dyck_blocks` for the Catalan-Stanley trees of size n;
+    the one place that checks n, at the call (see `enumerate_trees`)."""
+    if n < 1:
+        raise ValueError("size must be positive")
+    if n - 1 > _MAX_DEPTH:
+        raise CapacityError(f"size {n}: trees deeper than {_MAX_DEPTH:,} have no depth string")
+    return _dyck_blocks(n - 1, odd_returns=True)
+
+
 def plane_trees(n: int) -> tuple[PlaneTree, ...]:
     """All rooted plane trees with n nodes (there are C(n-1) of them), in lex order."""
     if n < 1:
         raise ValueError("size must be positive")
-    return tuple(_dyck_trees(n - 1, odd_returns=False))
+    return tuple(_trees(_dyck_blocks(n - 1, odd_returns=False)))
 
 
 def enumerate_trees(n: int) -> Iterator[PlaneTree]:
@@ -186,11 +212,7 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     deepest tree has no depth string (n - 1 > 1,114,111), raises at the
     call, not at the first step.
     """
-    if n < 1:
-        raise ValueError("size must be positive")
-    if n - 1 > _MAX_DEPTH:
-        raise CapacityError(f"size {n}: trees deeper than {_MAX_DEPTH:,} have no depth string")
-    return _dyck_trees(n - 1, odd_returns=True)
+    return _trees(_tree_blocks(n))
 
 
 # Steps `_shuffled_rows` shuffles at a time: an int64 buffer of 256 KiB.

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import hashlib
 import json
 import math
@@ -35,6 +36,7 @@ from catalan_stanley.cli import (
     _emit_distribution,
     run,
 )
+from catalan_stanley.enumeration import _tree_blocks, enumerate_trees
 from catalan_stanley.stats import age_distribution, ancestor_distribution
 from catalan_stanley.tree import parse_tree
 from catalan_stanley.verify import _census, run_verification
@@ -138,11 +140,51 @@ class TestEnumerate:
         assert code == 0
         assert peak < 2**20
 
+    @pytest.mark.parametrize("tail", [1, 2, 5, 10])
+    def test_matches_a_tree_at_a_time(self, tail, monkeypatch):
+        """The blocks joined are the bytes one `serialize()` a tree and
+        `json.dumps` of the whole list print, on both sides of the cut."""
+        expected = {n: _enumerate_reference(n) for n in range(1, 14)}
+        monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
+        for n, (text, document) in expected.items():
+            for fmt, want in (("text", text), ("csv", text), ("json", document)):
+                assert invoke("enumerate", "--size", str(n), "--format", fmt) == (0, want, "")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_nonpositive_size_prints_nothing(self, fmt):
+        for size in ("0", "-1"):
+            code, out, err = invoke("enumerate", "--size", size, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == "error: size must be positive\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_write_size(self, fmt):
+        """Each `write` holds at most 2^17 characters plus one block: the
+        writer gathers whole blocks and stops once it has about 2^17."""
+        writes = []
+
+        class Out:
+            write = writes.append
+
+        assert run(["enumerate", "--size", "13", "--format", fmt], out=Out(), err=StringIO()) == 0
+        longest = max(len(words) for _, _, words, _ in _tree_blocks(13)) * (2 * 13 + 4)
+        assert len(writes) > 10
+        assert max(map(len, writes)) <= 2**17 + longest
+        assert "".join(writes) == invoke("enumerate", "--size", "13", "--format", fmt)[1]
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_size_cap(self, fmt):
         code, out, err = invoke("enumerate", "--size", "17", "--format", fmt)
         assert (code, out) == (2, "")
         assert "up to 16" in err
+
+
+@functools.cache
+def _enumerate_reference(n):
+    """`enumerate --size n` as text and as JSON, built a tree at a time."""
+    words = [tau.serialize() for tau in enumerate_trees(n)]
+    text = "".join(word + "\n" for word in words)
+    return text, json.dumps({"size": n, "trees": words}) + "\n"
 
 
 class TestSample:

@@ -16,11 +16,13 @@ from catalan_stanley.enumeration import (
     _ancestor_size_from_tokens,
     _cycle_lemma_rows,
     _draw_bits,
-    _dyck_trees,
+    _dyck_blocks,
     _first_tree_size,
     _root_child_sizes,
     _rotated_words,
     _shuffled_rows,
+    _tree_blocks,
+    _trees,
     _uniform_draws,
     catalan,
     count_trees,
@@ -150,9 +152,9 @@ class TestIndependentRoute:
     @pytest.mark.parametrize("tail", [1, 2, 5])
     def test_cut_does_not_change_the_words(self, tail, monkeypatch):
         cases = [(m, odd) for m in (8, 9) for odd in (False, True)]
-        expected = [list(_dyck_trees(*case)) for case in cases]
+        expected = [list(_trees(_dyck_blocks(*case))) for case in cases]
         monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
-        assert [list(_dyck_trees(*case)) for case in cases] == expected
+        assert [list(_trees(_dyck_blocks(*case))) for case in cases] == expected
 
     @pytest.mark.parametrize("tail", [1, 2, 5, 10])
     def test_depth_strings_match_the_words(self, tail, monkeypatch):
@@ -173,6 +175,31 @@ class TestIndependentRoute:
             tracemalloc.stop()
         assert consumed == 2000
         assert peak < 2**20
+
+
+class TestBlocks:
+    """The one walk's blocks, which both the tree enumerators and the CLI
+    read: a prefix and its tails, on both sides of the cut."""
+
+    @pytest.mark.parametrize("tail", [1, 2, 5, 10])
+    def test_blocks_join_to_the_trees(self, tail, monkeypatch):
+        monkeypatch.setattr(catalan_stanley.enumeration, "_TAIL", tail)
+        for n in range(1, 13):
+            for blocks, trees in (
+                (_tree_blocks(n), enumerate_trees(n)),
+                (_dyck_blocks(n - 1, odd_returns=False), plane_trees(n)),
+            ):
+                blocks = list(blocks)
+                assert all(words and len(words) == len(depths) for _, _, words, depths in blocks)
+                joined = [
+                    (prefix + w, depth_prefix + d)
+                    for prefix, depth_prefix, words, depths in blocks
+                    for w, d in zip(words, depths)
+                ]
+                assert joined == [(tau._word, tau._depths) for tau in trees]
+                assert all(d == depth_string(w) for w, d in joined)
+                if 2 * (n - 1) <= tail:  # the cut is 0: the table gives whole words
+                    assert [block[:2] for block in blocks] == [("(", "\x00")]
 
 
 class TestPlaneTrees:
