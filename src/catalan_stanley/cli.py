@@ -28,12 +28,13 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
-# `enumerate` prints C(n-2) trees, a block of words sharing one prefix per
-# join and no tree object made: size 16 (C(14), about 2.7 million trees)
-# takes 0.40-0.58 s (medians 0.47-0.55 s of three runs) and peaks at
-# 16.7-16.9 MiB RSS as a fresh process in every format.  Size 17 (C(15),
-# about 9.7 million trees) would take 1.2-1.4 s and print 339,319,575 bytes
-# of text or 368,404,134 of JSON, at the same peak (2-vCPU VM, Python 3.11).
+# `enumerate` prints C(n-2) trees, one join and one `write` per block of
+# words sharing a prefix and no tree object made: size 16 (C(14), about
+# 2.7 million trees, 128,554 blocks) takes 0.36-0.66 s (medians 0.41-0.51 s
+# of 9-15 runs) and peaks at 16.6-16.9 MiB RSS as a fresh process in every
+# format.  Size 17 (C(15), about 9.7 million trees) would take 1.3-2.1 s
+# and print 339,319,575 bytes of text or 368,404,134 of JSON, at about
+# 17 MiB (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
 # about 2.0-2.3 s, most of it one gcd per line, and peaks at 41 MiB RSS in
@@ -54,7 +55,7 @@ MAX_COUNT_SIZE = MAX_AGE_SIZE
 # `sample` draws about 0.17 us per node: one tree of size 10^5 takes
 # about 0.017 s (median over 12 seeds), and the largest request (100 of
 # them), as a fresh process, 2.0-2.4 s (median 2.2 of 6) and 39.5 MiB in
-# every format; each tree is written as it is drawn.
+# every format; each tree is written before the next is drawn.
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100
 # `verify` forks one child for its series, asymptotics and sampler layers
@@ -214,27 +215,19 @@ def _emit_words(blocks, header: dict, fmt: str, out) -> None:
     """Tree words one a line, or for "json" the bytes `json.dumps` prints
     for the keys of `header` followed by the list "trees".  The words come
     in blocks of a prefix and a tuple of tails, each tail one word after the
-    prefix (a sampled tree is one tail after an empty prefix), and a block
-    is written with one join.  A word holds only "(" and ")", so its JSON
-    string is the word in quotes.  A size's words share one length, so
-    blocks are gathered up to about 2^17 characters a `write`: a few
-    thousand words of an enumeration, one word of a large sample.  Neither
-    the list nor its text is held whole."""
-    per_write = max(1, 2**17 // (2 * header["size"] + 4))
+    prefix (a sampled tree is one tail after an empty prefix), and each
+    block is written with one join and one `write` as it arrives.  A word
+    holds only "(" and ")", so its JSON string is the word in quotes.
+    Neither the list nor its text is held whole."""
     if fmt == "json":
         out.write(json.dumps(header)[:-1] + ', "trees": [')
         opening, between, closing, glue = '"', '", "', '"', ", "
     else:
         opening, between, closing, glue = "", "\n", "\n", ""
-    lead, pieces, words = "", [], 0
+    lead = ""
     for prefix, tails in blocks:
-        pieces.append(opening + prefix + (between + prefix).join(tails) + closing)
-        words += len(tails)
-        if words >= per_write:
-            out.write(lead + glue.join(pieces))
-            lead, pieces, words = glue, [], 0
-    if pieces:
-        out.write(lead + glue.join(pieces))
+        out.write(lead + opening + prefix + (between + prefix).join(tails) + closing)
+        lead = glue
     if fmt == "json":
         out.write("]}\n")
 

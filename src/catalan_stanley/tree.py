@@ -192,13 +192,6 @@ class DyckPath:
             raise MalformedPathError("total sum is nonzero")
         self._word = "".join(chars)
 
-    @staticmethod
-    def _of(word: str) -> "DyckPath":
-        """The path of a word already known to be balanced."""
-        path = _new(DyckPath)
-        path._word = word
-        return path
-
     @property
     def steps(self) -> tuple[int, ...]:
         return tuple(1 if ch == "(" else -1 for ch in self._word)

@@ -159,18 +159,24 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_write_size(self, fmt):
-        """Each `write` holds at most 2^17 characters plus one block: the
-        writer gathers whole blocks and stops once it has about 2^17."""
+        """Apart from the JSON opening and closing, the i-th `write` holds
+        exactly the words of the walk's i-th block, so none is longer than
+        2^17 characters plus the longest block; the writes join to stdout."""
         writes = []
 
         class Out:
             write = writes.append
 
         assert run(["enumerate", "--size", "13", "--format", fmt], out=Out(), err=StringIO()) == 0
-        longest = max(len(words) for _, _, words, _ in _tree_blocks(13)) * (2 * 13 + 4)
+        blocks = [len(words) for _, _, words, _ in _tree_blocks(13)]
+        longest = max(blocks) * (2 * 13 + 4)
         assert len(writes) > 10
         assert max(map(len, writes)) <= 2**17 + longest
         assert "".join(writes) == invoke("enumerate", "--size", "13", "--format", fmt)[1]
+        assert len(blocks) == 2561 and max(blocks) <= 33
+        if fmt == "json":
+            assert writes.pop(0) == '{"size": 13, "trees": [' and writes.pop() == "]}\n"
+        assert [w.count("(") // 13 for w in writes] == blocks
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_size_cap(self, fmt):
@@ -247,9 +253,8 @@ class TestSample:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_trees_written_as_drawn(self, monkeypatch, fmt):
-        """A tree is written before the later ones are drawn: at size 30000
-        two words fill one `write`, so of three trees the first two go out
-        before the third is drawn."""
+        """Each tree is written, in one `write`, before the next one is
+        drawn, so only one word is held at a time."""
         events, draw = [], catalan_stanley.cli.sample_trees
 
         def spy(*args):
@@ -262,9 +267,8 @@ class TestSample:
         monkeypatch.setattr(catalan_stanley.cli, "sample_trees", spy)
         argv = ["sample", "--size", "30000", "--count", "3", "--format", fmt]
         assert run(argv, out=Out(), err=StringIO()) == 0
-        draws = [i for i, e in enumerate(events) if e is None]
-        first_tree = next(i for i, e in enumerate(events) if e and "(" in e)
-        assert len(draws) == 3 and first_tree < draws[-1]
+        kinds = ["draw" if e is None else "tree" for e in events if e is None or "(" in e]
+        assert kinds == ["draw", "tree"] * 3
         assert "".join(e for e in events if e) == invoke(*argv)[1]
 
     def test_seed_outside_64_bits(self):
