@@ -162,9 +162,10 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by z^k, dropping what leaves the truncation window."""
-        if k < 0:
+        if operator.index(k) < 0:
             raise ValueError("shift must be nonnegative")
-        return TruncatedSeries([0] * k + list(self._coeffs), self.order)
+        # past the order every coefficient leaves the window: pad with at most order + 1 zeros
+        return TruncatedSeries([0] * min(k, self.order + 1) + list(self._coeffs), self.order)
 
     def __eq__(self, other):
         return (

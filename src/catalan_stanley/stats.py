@@ -169,6 +169,8 @@ class DistributionTable:
             raise ValueError("support and counts differ in length")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative count")
+        if self.size_n < 1:  # `_tree_count` reads 1 there, as at n = 1
+            raise ValueError("size_n must be positive")
         if sum(self.counts) != _tree_count(self.size_n):
             raise ValueError("counts must sum to the number of trees of size_n")
         if list(self.support) != sorted(set(self.support)):

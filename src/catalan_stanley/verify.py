@@ -10,15 +10,16 @@ the limit constants compare rationals: printed digits are parsed as
 error term against exact counts.  The sampler checks read their
 chi-square p-values from the closed form of the upper tail for integer df.
 
-The tree and stats layers and the reduced-size bijection read the census,
-which is cached per size in the calling process.  The series, asymptotics
-and sampler layers read none of it, so where two CPUs or more are usable,
-`os.fork` exists and no other thread is alive, `run_verification` forks
-one child that runs them and writes one pickle of their checks, or of
-the first error, to a pipe, while the caller runs the census layers.
-The caller then reads the pipe, reaps the child and puts every check in
-its serial order; if the child died before it wrote, the caller runs its
-layers.  Otherwise every layer runs in the caller, one after another.
+The layers run in one order: tree, stats, series, asymptotics, sampler.
+The first two read the census, which is cached per size in the calling
+process; the last three read none of it.  So where two CPUs or more are
+usable, `os.fork` exists and no other thread is alive, `run_verification`
+forks at that one boundary: one child runs the census-free layers and
+writes one pickle of their checks, or of their first error, to a pipe,
+while the caller runs the census layers.  The report is the caller's
+checks followed by the child's; if the child died before it wrote, the
+caller runs its layers.  Otherwise every layer runs in the caller, one
+after another.
 """
 
 from __future__ import annotations
@@ -244,6 +245,20 @@ def _check_tree_layer(report: VerifyReport, max_size: int) -> None:
             for tau in plane_trees(n)
         )
         report.add(f"parity_correspondence({n})", f"n={n}", flags_ok, True)
+    # `_ancestor_size_from_tokens` on the root-child sizes of every plane tree
+    # of size n-1 against the census's ancestor sizes: each piece of a depth
+    # string after a "\x01" is one root child less its own node
+    token_census_ok = True
+    for n in range(2, 11):
+        child_sizes = [
+            [len(piece) + 1 for piece in (tau._depths or tau._depth_string())[1:].split("\x01")[1:]]
+            for tau in plane_trees(n - 1)
+        ]
+        for r in (1, 2, 3):
+            via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
+            if via_tokens != _census(n).ancestor_sizes(r):
+                token_census_ok = False
+    report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)
 
 
 def _check_stats_layer(report: VerifyReport, max_size: int, max_r: int) -> None:
@@ -471,10 +486,9 @@ def _chi_square_pvalue(observed: list[int], expected: list[float]) -> float:
 
 
 def _check_sampler_layer(report: VerifyReport) -> None:
-    """The tree sampler: one seed gives one tree, every draw is a member of
-    its size, and the draws of size 5 are uniform.  The reduced-size
-    sampler's checks follow in `_check_reduced_size_bijection`, which reads
-    the census, and `_check_reduced_size_sampler`, which does not."""
+    """The samplers: one seed gives one tree, every draw is a member of its
+    size, the tree draws of size 5 are uniform, and the reduced sizes drawn
+    at size 9 follow the exact first-ancestor pmf."""
     first = sample_trees(30, 1, 12345)[0]
     second = sample_trees(30, 1, 12345)[0]
     report.add("sampler_deterministic", "size=30 seed=12345", first.serialize(), second.serialize())
@@ -495,28 +509,7 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     p_value = _chi_square_pvalue(observed, expected)
     report.add("sampler_uniform(5)", f"draws={draws}", p_value >= 0.001, True)
 
-
-def _check_reduced_size_bijection(report: VerifyReport) -> None:
-    """`_ancestor_size_from_tokens` on the root-child sizes of every plane
-    tree of size n-1 against the census's ancestor sizes, n <= 10: each
-    piece of a depth string after a ``"\\x01"`` is one root child less
-    its own node."""
-    token_census_ok = True
-    for n in range(2, 11):
-        child_sizes = [
-            [len(piece) + 1 for piece in (tau._depths or tau._depth_string())[1:].split("\x01")[1:]]
-            for tau in plane_trees(n - 1)
-        ]
-        for r in (1, 2, 3):
-            via_tokens = Counter(_ancestor_size_from_tokens(s, r) for s in child_sizes)
-            if via_tokens != _census(n).ancestor_sizes(r):
-                token_census_ok = False
-    report.add("reduced_size_bijection", "n<=10 r<=3", token_census_ok, True)
-
-
-def _check_reduced_size_sampler(report: VerifyReport) -> None:
     exact = ancestor_distribution(9, 1)
-    draws = 20000
     empirical = Counter(int(x) for x in sample_reduced_sizes(9, draws, seed=99))
     observed = [empirical.get(m, 0) for m in exact.support]
     expected = [float(p) * draws for p in exact.masses]
@@ -538,28 +531,23 @@ def _can_fork() -> bool:
     return _usable_cpus() >= 2 and hasattr(os, "fork") and threading.active_count() == 1
 
 
-def _outcomes(layers) -> list:
-    """Each layer's checks, run in order on a report of its own, up to the
-    first layer that raises; that one's error ends the list."""
-    outcomes: list = []
-    for layer in layers:
-        report = VerifyReport()
-        try:
-            layer(report)
-        except Exception as error:
-            outcomes.append(error)
-            break
-        outcomes.append(report.checks)
-    return outcomes
+def _checks(run) -> list | Exception:
+    """The checks `run` adds to a fresh report, or the error it raises."""
+    report = VerifyReport()
+    try:
+        run(report)
+    except Exception as error:
+        return error
+    return report.checks
 
 
 def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> VerifyReport:
     """Run the whole invariant suite; see the CLI `verify` subcommand.
 
     The checks, their order and any error a layer raises are those of a
-    serial run, whichever process ran the layer: each side stops at its
-    first error, and the outcomes are read back in serial order, so the
-    first error in that order is raised.
+    serial run, whichever process ran the layer: the census layers come
+    first in that order, so the caller's checks come before the worker's,
+    and the caller's error, if any, is raised before the worker's.
     """
     if max_size < 4:
         raise ValueError("max_size must be at least 4")
@@ -567,35 +555,34 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
         raise ValueError("max_r must be at least 1")
     if order < 4:
         raise ValueError("order must be at least 4")
-    # every layer in serial order, with whether it reads the census
-    layers = (
-        (True, lambda report: _check_tree_layer(report, max_size)),
-        (True, lambda report: _check_stats_layer(report, max_size, max_r)),
-        (False, lambda report: _check_series_layer(report, max_r, order)),
-        (False, lambda report: _check_asymptotics_layer(report, max_r)),
-        (False, _check_sampler_layer),
-        (True, _check_reduced_size_bijection),
-        (False, _check_reduced_size_sampler),
-    )
+
+    def census_layers(report: VerifyReport) -> None:
+        _check_tree_layer(report, max_size)
+        _check_stats_layer(report, max_size, max_r)
+
+    def census_free_layers(report: VerifyReport) -> None:
+        _check_series_layer(report, max_r, order)
+        _check_asymptotics_layer(report, max_r)
+        _check_sampler_layer(report)
+
     report = VerifyReport()
     if not _can_fork():
-        for _, layer in layers:
-            layer(report)
+        census_layers(report)
+        census_free_layers(report)
         return report
     # imported here, not with the module: it adds about 2.6 ms (2-vCPU VM) to an import
     import pickle
 
-    census_free = [layer for reads, layer in layers if not reads]
     read_end, write_end = os.pipe()
     pid = os.fork()
     if not pid:
         # the child inherits the module state, patches included, writes one
-        # pickle of its outcomes (nothing if they do not pickle) and leaves
-        # by `os._exit` whatever happens, so it runs no exit handler and
-        # flushes no stream it inherited
+        # pickle of its checks or error (nothing if they do not pickle) and
+        # leaves by `os._exit` whatever happens, so it runs no exit handler
+        # and flushes no stream it inherited
         try:
             os.close(read_end)
-            data = pickle.dumps(_outcomes(census_free))
+            data = pickle.dumps(_checks(census_free_layers))
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
         finally:
@@ -603,7 +590,7 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     os.close(write_end)
     with open(read_end, "rb") as pipe:
         try:
-            here = _outcomes([layer for reads, layer in layers if reads])
+            here = _checks(census_layers)
             data = pipe.read()
         except BaseException:  # interrupted: the worker's checks will not be read
             import signal  # here only: its enums cost every import about 45 KB
@@ -615,10 +602,8 @@ def run_verification(max_size: int = 12, max_r: int = 5, order: int = 16) -> Ver
     try:
         there = pickle.loads(data)
     except Exception:  # the worker died before it wrote them (a signal, say): run its layers here
-        there = _outcomes(census_free)
-    sides = {True: iter(here), False: iter(there)}
-    for reads, _ in layers:
-        outcome = next(sides[reads])
+        there = _checks(census_free_layers)
+    for outcome in (here, there):
         if isinstance(outcome, Exception):
             raise outcome
         report.checks += outcome

@@ -124,6 +124,32 @@ def test_census_free_layers_run_in_a_forked_worker(monkeypatch):
     assert pid != str(os.getpid())
 
 
+@pytest.mark.skipif(not FORKS, reason="verify runs serially here")
+def test_caller_checks_come_before_worker_checks(monkeypatch):
+    """Each check is stamped with the pid that added it: in the forked
+    report every check of the caller comes before every check of the
+    worker, the boundary falls between the stats and the series layers,
+    and the serial report holds the same checks in the same order."""
+    add = verify.VerifyReport.add
+
+    def add_with_pid(report, name, params, *args, **kwargs):
+        add(report, name, f"{params} pid={os.getpid()}", *args, **kwargs)
+
+    monkeypatch.setattr(verify.VerifyReport, "add", add_with_pid)
+    forked = run_verification(max_size=5, max_r=2, order=6).checks
+    caller = f"pid={os.getpid()}"
+    sides = [c.params.endswith(caller) for c in forked]
+    at = sides.index(False)  # the worker's first check
+    assert all(sides[:at]) and not any(sides[at:])
+    assert len({c.params.rsplit(" ", 1)[1] for c in forked[at:]}) == 1
+    assert forked[at - 1].name == "expected_age_vs_survivals(800)"
+    assert forked[at].name == "T_functional_equation"
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+    serial = run_verification(max_size=5, max_r=2, order=6).checks
+    assert all(c.params.endswith(caller) for c in serial)
+    assert [c.name for c in serial] == [c.name for c in forked]
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

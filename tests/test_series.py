@@ -67,6 +67,14 @@ class TestTruncatedSeries:
     def test_shift(self):
         assert ts(1, 2, 3).shift(1).coefficients() == (0, 1, 2)
 
+    def test_shift_past_the_order_is_zero_at_once(self):
+        # the padding is bounded by the order, not by k
+        for k in (3, 4, 10**12):
+            assert ts(1, 2, 3).shift(k) == TruncatedSeries([0], 2)
+        assert TruncatedSeries([0, 1], 5).shift(10**12) == TruncatedSeries([0], 5)
+        with pytest.raises(TypeError):
+            ts(1, 2, 3).shift(1e12)
+
     def test_coefficient_bounds(self):
         with pytest.raises(ValueError):
             ts(1, 2).coefficient(5)

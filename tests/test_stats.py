@@ -291,6 +291,12 @@ class TestDistributionTable:
         with pytest.raises(ValueError):
             DistributionTable(4, (2, 1), (1, 1))
 
+    @pytest.mark.parametrize("size_n,support,counts", [(0, (7,), (1,)), (-3, (1,), (1,))])
+    def test_rejects_sizes_below_one(self, size_n, support, counts):
+        # the counts add up to 1, which the tree count reads at every n <= 1
+        with pytest.raises(ValueError, match="size_n must be positive"):
+            DistributionTable(size_n, support, counts)
+
     def test_counts_are_tree_counts(self):
         table = age_distribution(5)
         assert table.counts == (1, 4)

@@ -11,14 +11,13 @@ from catalan_stanley.verify import _census, _chi_square_pvalue, run_verification
 
 # sha256 of `run_verification(14, 5, 16).to_text()`, the `verify --max-size 14`
 # report; a rewrite of the census or of a check must leave it byte-identical.
-# Both pins were re-recorded when the `c2_consistency` check was dropped, with
-# every other line but the passed count unchanged.
-LARGE_SCOPE_TEXT_SHA256 = "fdc4f828679e03c3656f79cb3559134106a71c0e18e693793207303a08cb3a84"
+# Both pins were re-recorded when `reduced_size_bijection` joined the tree
+# layer: the same lines and passed count, that one line moved up to follow
+# the `parity_correspondence` lines.
+LARGE_SCOPE_TEXT_SHA256 = "fd2654e1bdd6c739151c02ebb84978381df46bf8054e66e8fc405ca3ce3c0089"
 # sha256 of `run_verification(4, 40, 80).to_text()`, the series layer at the
-# `--order` and `--max-r` caps; recorded when F_leq(r) became Phi^r(z), with
-# every line but the replaced checks equal to the report of the separately
-# built F_leq(r)
-ORDER_CAP_TEXT_SHA256 = "a54d2ac4217f691767574952a16079f7946c92179fcd7d9c605e0d7c7421d336"
+# `--order` and `--max-r` caps
+ORDER_CAP_TEXT_SHA256 = "8d06fa8fb3f09aabb887126a23131b6f3cfab823cd0648f41b2df4e7d1a6c64a"
 
 
 class TestChiSquareHelper:
