@@ -218,6 +218,13 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
 # Steps `_shuffled_rows` shuffles at a time: an int64 buffer of 256 KiB.
 _SHUFFLE_STEPS = 2**15
 
+# Steps a `sample_trees` round draws at least, while trees are still
+# needed, and at most (one row, if a row is longer): the floor spares small
+# sizes long runs of rounds of a few rows, and the cap keeps a round's int8
+# rows, int16 heights and masks near 1 MiB.
+_ROUND_MIN_STEPS = 2**11
+_ROUND_MAX_STEPS = 2**18
+
 # Steps the membership kernel reads at once, as one little-endian uint64:
 # each shuffled row is preceded by its own last _WINDOW steps, so the
 # _WINDOW steps ending at any step, read cyclically, are contiguous.
@@ -387,17 +394,18 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     """`count` uniform Catalan-Stanley trees of the given size, deterministic per seed.
 
     Accepted paths are kept in draw order; at most count * _DRAWS_PER_TREE
-    paths are drawn.  A round draws at most 2^21 steps (one path, if a
-    path is longer) and never more paths than trees are still needed, so
-    memory stays bounded at every size.  The rows of a round are shuffled
-    one after another from the same stream, in int64 chunks of at most
-    2^15 steps (one row, if a row is longer; see `_shuffled_rows`), so
-    the trees depend neither on how the draws split into rounds nor on how
-    a round splits into chunks.  Past the int8 rows of a round, the
-    shuffle holds at most 256 KiB, or 8 bytes a step of one longer row.
-    Membership is decided on the unrotated rows (`_cycle_lemma_rows`), and
-    only the kept rows, about one in four, are rotated and turned into
-    words (`_rotated_words`).
+    paths are drawn.  A round draws as many paths as trees are still
+    needed, but at least 2^11 steps and at most 2^18 (one path, if a path
+    is longer), so memory stays bounded at every size and small sizes
+    take few rounds.  The rows of a round are shuffled one after another
+    from the same stream, in int64 chunks of at most 2^15 steps (one row,
+    if a row is longer; see `_shuffled_rows`), so the trees depend neither
+    on how the draws split into rounds nor on how a round splits into
+    chunks.  Past the int8 rows of a round, the shuffle holds at most 256
+    KiB, or 8 bytes a step of one longer row.  Membership is decided on
+    the unrotated rows (`_cycle_lemma_rows`); kept rows past the trees
+    still needed are dropped, and only the rest, about one in four rows,
+    are rotated and turned into words (`_rotated_words`).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -408,15 +416,20 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    round_cap = max(1, 2**21 // (2 * size - 1))
+    length = 2 * size - 1
+    round_floor = _ROUND_MIN_STEPS // length
+    round_cap = max(1, _ROUND_MAX_STEPS // length)
     out: list[PlaneTree] = []
     draws = count * _DRAWS_PER_TREE
     draws_left = draws
     while len(out) < count and draws_left > 0:
-        rows = min(draws_left, count - len(out), round_cap)
+        needed = count - len(out)
+        rows = min(draws_left, max(needed, round_floor), round_cap)
         padded = _shuffled_rows(rng, size - 1, rows)
         draws_left -= rows
-        out.extend(map(PlaneTree._of, _rotated_words(padded, *_cycle_lemma_rows(padded))))
+        keep, start = _cycle_lemma_rows(padded)
+        keep[np.flatnonzero(keep)[needed:]] = False
+        out.extend(map(PlaneTree._of, _rotated_words(padded, keep, start)))
     if len(out) < count:
         raise SamplingError(
             f"accepted {len(out)} of {count} Catalan-Stanley trees of size {size} "

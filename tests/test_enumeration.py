@@ -342,8 +342,9 @@ class TestSampleTrees:
         )
 
     def test_pinned_draws_over_many_rounds(self):
-        """sha256 over 500 trees of size 1000 for two seeds, 27 and 29
-        rounds; recorded before the membership step read the unrotated rows."""
+        """sha256 over 500 trees of size 1000 for two seeds, 33 and 36
+        rounds of at most 131 rows; recorded before the membership step read
+        the unrotated rows."""
         digest = hashlib.sha256()
         for seed in (1, 2**64 - 1):
             digest.update(repr((1000, 500, seed)).encode())
@@ -370,10 +371,11 @@ class TestSampleTrees:
         assert peak < 2 * 2**20
 
     def test_round_memory_is_bounded(self):
-        """One round of 500 rows at size 1000: shuffle, membership and the
-        kept words.  Rotating every row and masking the rotated rows peaked
-        at 6.67 MiB; reading the unrotated rows peaks at about 4.8 MiB (5.5
-        on a process's first call)."""
+        """The kernels on 500 rows at size 1000 (about 2^20 steps), four
+        times the 131-row rounds `sample_trees` draws there: shuffle,
+        membership and the kept words.  Rotating every row and masking the
+        rotated rows peaked at 6.67 MiB; reading the unrotated rows peaks
+        at about 4.8 MiB (5.5 on a process's first call)."""
         tracemalloc.start()
         try:
             padded = _shuffled_rows(np.random.default_rng(0), 999, 500)
@@ -411,6 +413,58 @@ class TestSampleTrees:
         the pinned trees."""
         monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", steps)
         self.test_pinned_draws_across_sizes()
+
+    @pytest.mark.parametrize("low,high", [(1, 1), (2**21, 2**21)], ids=["one-row", "overdrawn"])
+    def test_trees_do_not_depend_on_the_round_bounds(self, low, high, monkeypatch):
+        """Rounds of one row, and rounds of 2^21 steps that draw far more
+        rows than trees are needed, give the pinned trees and budget error."""
+        monkeypatch.setattr(catalan_stanley.enumeration, "_ROUND_MIN_STEPS", low)
+        monkeypatch.setattr(catalan_stanley.enumeration, "_ROUND_MAX_STEPS", high)
+        self.test_pinned_draws_across_sizes()
+        self.test_pinned_draws_over_many_rounds()
+        self.test_pinned_draws_past_int16_heights()
+        self.test_pinned_budget_error(monkeypatch)
+
+    def test_whole_call_memory_is_bounded(self):
+        """500 trees of size 1000 in rounds of at most 2^18 steps: one
+        round's rows, heights and masks plus the 1.01 MiB of trees returned
+        peak at about 1.96 MiB.  Rounds of up to 500 rows (2^21 steps)
+        peaked at 4.77 MiB."""
+        sample_trees(1000, 1, seed=0)  # keeps first-call imports out of the peak
+        tracemalloc.start()
+        try:
+            trees = sample_trees(1000, 500, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == 500
+        assert peak < 2.5 * 2**20
+
+    def test_small_sizes_take_few_rounds(self, monkeypatch):
+        """A round draws at least 2^11 steps: 11 rounds for 500 trees of
+        size 18 and one for a tree of size 30, where rounds of no more rows
+        than trees still needed took 22 and 4."""
+        rounds = _round_rows(monkeypatch)
+        sample_trees(18, 500, 7)
+        assert len(rounds) <= 12
+        rounds.clear()
+        sample_trees(30, 1, 12345)
+        assert len(rounds) == 1
+
+    @pytest.mark.parametrize(
+        "size,count",
+        [
+            (size, count)
+            for size in (2, 5, 18, 1000, 10**5)
+            for count in (1, 3, 500)
+            if (size, count) != (10**5, 500)
+        ],
+    )
+    def test_round_steps_are_bounded(self, size, count, monkeypatch):
+        """Every round of more than one row draws at most 2^18 steps."""
+        rounds = _round_rows(monkeypatch)
+        assert len(sample_trees(size, count, seed=size + count)) == count
+        assert all(rows == 1 or rows * (2 * size - 1) <= 2**18 for rows in rounds)
 
     def test_long_row_shuffle_memory_is_bounded(self):
         """One row of 200,001 steps, longer than a chunk: its int64 buffer
@@ -485,6 +539,20 @@ class TestSampleTrees:
         descent runs longer than the kernel's window, also across the
         row's start."""
         _check_membership([row])
+
+
+def _round_rows(monkeypatch) -> list[int]:
+    """The rows of each round `sample_trees` draws from here on, recorded
+    by wrapping `_shuffled_rows`."""
+    rounds: list[int] = []
+    shuffled_rows = catalan_stanley.enumeration._shuffled_rows
+
+    def record(rng, semilength, rows):
+        rounds.append(rows)
+        return shuffled_rows(rng, semilength, rows)
+
+    monkeypatch.setattr(catalan_stanley.enumeration, "_shuffled_rows", record)
+    return rounds
 
 
 def _check_membership(rows: list[list[int]]) -> None:
