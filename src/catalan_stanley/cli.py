@@ -54,9 +54,9 @@ MAX_ANCESTOR_SIZE = 480
 MAX_COUNT_SIZE = MAX_AGE_SIZE
 # `sample` draws about 0.1 us per node: one tree of size 10^5 takes
 # about 0.010 s in process (median over 12 seeds), and the largest
-# request (100 of them), as a fresh process, 1.45-1.64 s (median 1.5 of
-# 14) and 38.9-39.4 MiB over every format; 100 trees of size 100 take
-# 0.20-0.26 s (median 0.21) and 35.6-36.0 MiB.  Each tree is written
+# request (100 of them), as a fresh process, 1.57-1.65 s (median 1.59 of
+# 8) and 38.9-39.4 MiB over every format; 100 trees of size 100 take
+# 0.21-0.25 s (median 0.22 of 8) and 35.7-35.8 MiB.  Each tree is written
 # before the next is drawn (2-vCPU VM, Python 3.11).
 MAX_SAMPLE_SIZE = 100_000
 MAX_SAMPLE_COUNT = 100

@@ -18,10 +18,11 @@ and makes no tree, at about 0.13 us a word (noisy 2-vCPU VM).
 `sample_trees` is the one tree sampler.  It draws uniform Dyck paths
 (balanced-sequence shuffle plus cycle-lemma rotation) and keeps the paths
 whose returns all end odd descents, which are the uniform Catalan-Stanley
-trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  The shuffle,
-its largest cost, runs on int64 rows a chunk of at most 2^15 steps at a
-time, where numpy's `permuted` swaps fastest; the swaps and the draws
-they take are those of a shuffle of int8 rows, so the trees are too.
+trees; C(n-2)/C(n-1), about 1/4, of the draws are kept.  It draws in
+rounds of at most 2^15 steps (one row, if a row is longer).  A round is
+one shuffle of int64 rows, the sampler's largest cost, where numpy's
+`permuted` swaps fastest; the swaps and the draws they take are those
+of a shuffle of int8 rows, so the trees are too.
 Membership is read off the unrotated rows: one prefix-sum pass gives
 each row's first minimum and its rotated path's returns, and each
 return's descent run is read backwards, eight steps at a time.  Only the
@@ -215,15 +216,15 @@ def enumerate_trees(n: int) -> Iterator[PlaneTree]:
     return _trees(_tree_blocks(n))
 
 
-# Steps `_shuffled_rows` shuffles at a time: an int64 buffer of 256 KiB.
+# Steps a `sample_trees` round draws at most (one row, if a row is
+# longer), shuffled as one int64 array of at most 256 KiB: numpy's
+# `permuted` swaps fastest there, and the shuffle and the membership
+# step of a round each peak under 0.5 MiB.
 _SHUFFLE_STEPS = 2**15
 
-# Steps a `sample_trees` round draws at least, while trees are still
-# needed, and at most (one row, if a row is longer): the floor spares small
-# sizes long runs of rounds of a few rows, and the cap keeps a round's int8
-# rows, int16 heights and masks near 1 MiB.
+# Steps a `sample_trees` round draws at least while trees are still
+# needed: it spares small sizes long runs of rounds of a few rows.
 _ROUND_MIN_STEPS = 2**11
-_ROUND_MAX_STEPS = 2**18
 
 # Steps the membership kernel reads at once, as one little-endian uint64:
 # each shuffled row is preceded by its own last _WINDOW steps, so the
@@ -241,28 +242,24 @@ def _shuffled_rows(rng: np.random.Generator, semilength: int, rows: int) -> np.n
 
     numpy's `Generator.permuted` swaps 8-byte items in a fast loop and items
     of every other width through a generic copy, so the rows are shuffled
-    in a reused int64 buffer, as many at a time as fit in _SHUFFLE_STEPS
-    steps (one row, if a row is longer), and each chunk is copied into the
-    int8 rows.  The Fisher-Yates swaps and the draws they take from the
-    stream depend neither on the item width nor on the chunking, so the
-    rows and the generator's state afterwards are those of one `permuted`
-    call on all the int8 rows.  Past the int8 rows, the buffer holds at
-    most 256 KiB, or 8 bytes a step of one longer row.
+    as one int64 array and copied into the int8 rows.  The Fisher-Yates
+    swaps and the draws they take from the stream do not depend on the item
+    width, so the rows and the generator's state afterwards are those of
+    one `permuted` call on the int8 rows.  The int64 array takes 8 bytes a
+    step: at most 256 KiB in a `sample_trees` round (see _SHUFFLE_STEPS),
+    or the steps of one longer row.
     """
     import numpy as np
 
     m = semilength
     length = 2 * m + 1
     width = _WINDOW + length
+    steps = np.empty((rows, length), dtype=np.int64)
+    steps[:, :m] = 1
+    steps[:, m:] = -1
+    rng.permuted(steps, axis=1, out=steps)
     padded = np.empty((rows, width), dtype=np.int8)
-    chunk = max(1, _SHUFFLE_STEPS // length)
-    buf = np.empty((min(rows, chunk), length), dtype=np.int64)
-    for lo in range(0, rows, chunk):
-        block = buf[: min(chunk, rows - lo)]
-        block[:, :m] = 1
-        block[:, m:] = -1
-        rng.permuted(block, axis=1, out=block)
-        padded[lo : lo + len(block), _WINDOW:] = block
+    padded[:, _WINDOW:] = steps
     for end in range(_WINDOW, 0, -length):  # the pad, from its end, a row at a time
         fill = min(end, length)
         padded[:, end - fill : end] = padded[:, width - fill :]
@@ -395,17 +392,15 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
 
     Accepted paths are kept in draw order; at most count * _DRAWS_PER_TREE
     paths are drawn.  A round draws as many paths as trees are still
-    needed, but at least 2^11 steps and at most 2^18 (one path, if a path
+    needed, but at least 2^11 steps and at most 2^15 (one path, if a path
     is longer), so memory stays bounded at every size and small sizes
-    take few rounds.  The rows of a round are shuffled one after another
-    from the same stream, in int64 chunks of at most 2^15 steps (one row,
-    if a row is longer; see `_shuffled_rows`), so the trees depend neither
-    on how the draws split into rounds nor on how a round splits into
-    chunks.  Past the int8 rows of a round, the shuffle holds at most 256
-    KiB, or 8 bytes a step of one longer row.  Membership is decided on
-    the unrotated rows (`_cycle_lemma_rows`); kept rows past the trees
-    still needed are dropped, and only the rest, about one in four rows,
-    are rotated and turned into words (`_rotated_words`).
+    take few rounds.  A round is one shuffle (`_shuffled_rows`), and the
+    rows of every round come one after another from the same stream, so
+    the trees do not depend on how the draws split into rounds.
+    Membership is decided on the unrotated rows (`_cycle_lemma_rows`);
+    kept rows past the trees still needed are dropped, and only the rest,
+    about one in four rows, are rotated and turned into words
+    (`_rotated_words`).
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -418,7 +413,7 @@ def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     rng = np.random.default_rng(seed)
     length = 2 * size - 1
     round_floor = _ROUND_MIN_STEPS // length
-    round_cap = max(1, _ROUND_MAX_STEPS // length)
+    round_cap = max(1, _SHUFFLE_STEPS // length)
     out: list[PlaneTree] = []
     draws = count * _DRAWS_PER_TREE
     draws_left = draws

@@ -342,8 +342,8 @@ class TestSampleTrees:
         )
 
     def test_pinned_draws_over_many_rounds(self):
-        """sha256 over 500 trees of size 1000 for two seeds, 33 and 36
-        rounds of at most 131 rows; recorded before the membership step read
+        """sha256 over 500 trees of size 1000 for two seeds, 136 and 140
+        rounds of at most 16 rows; recorded before the membership step read
         the unrotated rows."""
         digest = hashlib.sha256()
         for seed in (1, 2**64 - 1):
@@ -370,31 +370,15 @@ class TestSampleTrees:
         assert all(is_catalan_stanley(parse_tree(w)) for w in words)
         assert peak < 2 * 2**20
 
-    def test_round_memory_is_bounded(self):
-        """The kernels on 500 rows at size 1000 (about 2^20 steps), four
-        times the 131-row rounds `sample_trees` draws there: shuffle,
-        membership and the kept words.  Rotating every row and masking the
-        rotated rows peaked at 6.67 MiB; reading the unrotated rows peaks
-        at about 4.8 MiB (5.5 on a process's first call)."""
-        tracemalloc.start()
-        try:
-            padded = _shuffled_rows(np.random.default_rng(0), 999, 500)
-            words = _rotated_words(padded, *_cycle_lemma_rows(padded))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0 < len(words) < 500
-        assert peak < 6 * 2**20
-
     @pytest.mark.parametrize(
         "semilength,rows",
         [(4, 100), (999, 40), (4, 20000), (20000, 3)],
-        ids=["one-chunk", "short-last-chunk", "many-chunks", "row-past-a-chunk"],
+        ids=["short-rows", "mid-rows", "many-rows", "long-rows"],
     )
-    def test_chunked_shuffle_matches_one_int8_call(self, semilength, rows):
-        """The int64 chunks draw the rows and leave the generator as one
-        `permuted` call over all the int8 rows does; each row is preceded by
-        its last _WINDOW steps."""
+    def test_int64_shuffle_matches_one_int8_call(self, semilength, rows):
+        """The int64 shuffle draws the rows and leaves the generator as one
+        `permuted` call over the int8 rows does; each row is preceded by its
+        last _WINDOW steps."""
         length = 2 * semilength + 1
         reference_rng = np.random.default_rng(rows)
         steps = np.full((rows, length), -1, dtype=np.int8)
@@ -407,29 +391,27 @@ class TestSampleTrees:
         assert np.array_equal(padded[:, :_WINDOW], steps[:, length - _WINDOW :])
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize("steps", [1, 7, catalan_stanley.enumeration._SHUFFLE_STEPS])
-    def test_trees_do_not_depend_on_the_shuffle_chunk(self, steps, monkeypatch):
-        """Chunks of one row, of a few short rows, and the default all give
-        the pinned trees."""
-        monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", steps)
-        self.test_pinned_draws_across_sizes()
-
-    @pytest.mark.parametrize("low,high", [(1, 1), (2**21, 2**21)], ids=["one-row", "overdrawn"])
+    @pytest.mark.parametrize(
+        "low,high",
+        [(1, 1), (2**11, 7), (2**21, 2**21)],
+        ids=["one-row", "few-rows", "overdrawn"],
+    )
     def test_trees_do_not_depend_on_the_round_bounds(self, low, high, monkeypatch):
-        """Rounds of one row, and rounds of 2^21 steps that draw far more
-        rows than trees are needed, give the pinned trees and budget error."""
+        """Rounds of one row, rounds of a few short rows whose cap binds
+        before the floor, and rounds of 2^21 steps that draw far more rows
+        than trees are needed give the pinned trees and budget error."""
         monkeypatch.setattr(catalan_stanley.enumeration, "_ROUND_MIN_STEPS", low)
-        monkeypatch.setattr(catalan_stanley.enumeration, "_ROUND_MAX_STEPS", high)
+        monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", high)
         self.test_pinned_draws_across_sizes()
         self.test_pinned_draws_over_many_rounds()
         self.test_pinned_draws_past_int16_heights()
         self.test_pinned_budget_error(monkeypatch)
 
     def test_whole_call_memory_is_bounded(self):
-        """500 trees of size 1000 in rounds of at most 2^18 steps: one
-        round's rows, heights and masks plus the 1.01 MiB of trees returned
-        peak at about 1.96 MiB.  Rounds of up to 500 rows (2^21 steps)
-        peaked at 4.77 MiB."""
+        """500 trees of size 1000 in rounds of at most 2^15 steps: one
+        round's int64 shuffle, rows, heights and masks plus the 1.01 MiB of
+        trees returned peak at about 1.27 MiB.  Rounds of up to 2^18 steps
+        peaked at 1.96 MiB, and of up to 500 rows (2^21 steps) at 4.77."""
         sample_trees(1000, 1, seed=0)  # keeps first-call imports out of the peak
         tracemalloc.start()
         try:
@@ -438,7 +420,7 @@ class TestSampleTrees:
         finally:
             tracemalloc.stop()
         assert len(trees) == 500
-        assert peak < 2.5 * 2**20
+        assert peak < 1.6 * 2**20
 
     def test_small_sizes_take_few_rounds(self, monkeypatch):
         """A round draws at least 2^11 steps: 11 rounds for 500 trees of
@@ -461,15 +443,17 @@ class TestSampleTrees:
         ],
     )
     def test_round_steps_are_bounded(self, size, count, monkeypatch):
-        """Every round of more than one row draws at most 2^18 steps."""
+        """Every round of more than one row draws at most _SHUFFLE_STEPS steps."""
         rounds = _round_rows(monkeypatch)
         assert len(sample_trees(size, count, seed=size + count)) == count
-        assert all(rows == 1 or rows * (2 * size - 1) <= 2**18 for rows in rounds)
+        cap = catalan_stanley.enumeration._SHUFFLE_STEPS
+        assert all(rows == 1 or rows * (2 * size - 1) <= cap for rows in rounds)
 
     def test_long_row_shuffle_memory_is_bounded(self):
-        """One row of 200,001 steps, longer than a chunk: its int64 buffer
-        (1.53 MiB) plus the int8 row peaked at 1.72 MiB; the bound leaves 16%.
-        Keeping the buffer through the rotation peaked at 3.24 MiB."""
+        """One row of 200,001 steps, longer than a round's 2^15: its int64
+        array (1.53 MiB) plus the int8 row peaked at 1.72 MiB; the bound
+        leaves 16%.  Keeping the int64 array through the rotation peaked at
+        3.24 MiB."""
         tracemalloc.start()
         try:
             padded = _shuffled_rows(np.random.default_rng(0), 10**5, 1)
