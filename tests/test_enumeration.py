@@ -391,15 +391,21 @@ class TestSampleTrees:
         assert np.array_equal(padded[:, :_WINDOW], steps[:, length - _WINDOW :])
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "low,high",
-        [(1, 1), (2**11, 7), (2**21, 2**21)],
-        ids=["one-row", "few-rows", "overdrawn"],
-    )
+    @pytest.mark.parametrize("steps", [1, 7, catalan_stanley.enumeration._SHUFFLE_STEPS])
+    def test_trees_do_not_depend_on_the_shuffle_chunk(self, steps, monkeypatch):
+        """Round caps (_SHUFFLE_STEPS) of one row, of a few short rows that
+        bind before the 2^11-step floor, and the default all give the
+        pinned trees and budget error."""
+        monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", steps)
+        self.test_pinned_draws_across_sizes()
+        self.test_pinned_draws_over_many_rounds()
+        self.test_pinned_draws_past_int16_heights()
+        self.test_pinned_budget_error(monkeypatch)
+
+    @pytest.mark.parametrize("low,high", [(1, 1), (2**21, 2**21)], ids=["one-row", "overdrawn"])
     def test_trees_do_not_depend_on_the_round_bounds(self, low, high, monkeypatch):
-        """Rounds of one row, rounds of a few short rows whose cap binds
-        before the floor, and rounds of 2^21 steps that draw far more rows
-        than trees are needed give the pinned trees and budget error."""
+        """Rounds of one row, and rounds of 2^21 steps that draw far more
+        rows than trees are needed, give the pinned trees and budget error."""
         monkeypatch.setattr(catalan_stanley.enumeration, "_ROUND_MIN_STEPS", low)
         monkeypatch.setattr(catalan_stanley.enumeration, "_SHUFFLE_STEPS", high)
         self.test_pinned_draws_across_sizes()
