@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+141 (128 + SIGPIPE) stdout closed before all output was written.
 Output is deterministic for fixed flags and seed.
 """
 
@@ -11,6 +12,7 @@ import decimal
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain
 from operator import itemgetter
@@ -28,6 +30,7 @@ from .tree import (
 )
 
 USAGE_ERROR = 2
+STDOUT_CLOSED = 128 + 13  # as a shell reports a process that SIGPIPE ended
 # `enumerate` prints C(n-2) trees, one join and one `write` per block of
 # words sharing a prefix and no tree object made: size 16 (C(14), about
 # 2.7 million trees, 128,554 blocks) takes 0.36-0.66 s (medians 0.41-0.51 s
@@ -37,15 +40,16 @@ USAGE_ERROR = 2
 # 17 MiB (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
-# about 2.0-2.3 s, most of it one gcd per line, and peaks at 41 MiB RSS in
-# every format, as a fresh process over five runs each (2-vCPU VM, Python
-# 3.11).
+# about 1.5-1.7 s (medians 1.56 and 1.65 s of two sets of 3), most of it one
+# gcd per line, and peaks at 28.6 MiB RSS in every format, as a fresh
+# process (2-vCPU Intel Xeon VM, Python 3.11).
 # Denominators print through `decimal`, which has no digit limit, but the
 # numerators are ints, and from 7155 on one can pass Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
-# pairs of series of order n: at --depth 1 size 480 takes about 4.2-4.7 s
-# (medians of 3 fresh processes; single runs 2.4-5.2 s on a noisy 2-vCPU
-# VM), 500 about 4.8 s and 600 about 9.3 s; deeper runs are faster.
+# pairs of series of order n: at --depth 1 size 480 takes about 2.5-3.6 s
+# (medians 2.66 and 3.40 s of two sets of 3 fresh processes on a noisy
+# 2-vCPU Intel Xeon VM), 500 about 4.8 s and 600 about 9.3 s; deeper runs
+# are faster.
 # `--asym` takes the caps of the asymptotics module (n up to 2**53, r up
 # to 255).
 MAX_AGE_SIZE = 7000
@@ -63,7 +67,8 @@ MAX_SAMPLE_COUNT = 100
 # `verify` forks one child for its series, asymptotics and sampler layers
 # where two CPUs are usable; the child pickles its checks into a pipe
 # while the caller builds the census.  As a fresh process it takes about
-# 0.4-0.8 s at default scope and about 1.4-2.0 s at --max-size 14, where
+# 0.3-0.7 s at default scope (medians 0.31 and 0.65 s of two sets of 3,
+# 2-vCPU Intel Xeon VM) and about 1.4-2.0 s at --max-size 14, where
 # the census of size 14 alone takes about 1.3-1.4 s and each extra size
 # about 4x more.  The series layer (--max-r half the order) takes 1.2 s
 # at order 64, 2.7 s at 80 and 12 s at 128; all three caps together take
@@ -389,7 +394,16 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """`run` on the process streams.  A reader that closes stdout early, as
+    `head` does, ends the process quietly with `STDOUT_CLOSED`."""
+    try:
+        status = run()
+    except BrokenPipeError:
+        # the flush at exit would raise again: stdout's fd is pointed at
+        # devnull, so what is still buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = STDOUT_CLOSED
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -111,11 +111,6 @@ class PlaneTree:
             return NotImplemented
         return (self._word or self.serialize()) == (other._word or other.serialize())
 
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, PlaneTree):
-            return NotImplemented
-        return (self._word or self.serialize()) != (other._word or other.serialize())
-
     def __hash__(self) -> int:
         return hash(self._word or self.serialize())
 

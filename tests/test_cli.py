@@ -874,6 +874,22 @@ class TestParserOutput:
         )
         assert (done.returncode, done.stdout, done.stderr) == invoke(*argv)
 
+    def test_main_ends_quietly_when_stdout_closes(self):
+        """A reader that stops after one line, as `head -1` does, leaves
+        `main` with status 141 (128 + SIGPIPE) and no traceback.  Size 12
+        prints about 420 kB, more than a pipe holds."""
+        package_root = os.path.dirname(os.path.dirname(catalan_stanley.tree.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catalan_stanley.cli", "enumerate", "--size", "12"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"(((((((((((())))))))))))\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
 
 # Every decision the parser and the dispatch make shows in one of these
 # runs: each help text, the usage errors, every cap plus one (a refusal),
