@@ -18,7 +18,7 @@ from itertools import chain
 from operator import itemgetter
 
 from . import asymptotics, stats, verify as verify_mod
-from .enumeration import _tree_blocks, count_trees, sample_trees
+from .enumeration import _sample_words, _tree_blocks, count_trees
 from .errors import CapacityError, SamplingError
 from .tree import (
     DyckPath,
@@ -67,8 +67,9 @@ MAX_SAMPLE_COUNT = 100
 # `verify` forks one child for its series, asymptotics and sampler layers
 # where two CPUs are usable; the child pickles its checks into a pipe
 # while the caller builds the census.  As a fresh process it takes about
-# 0.3-0.7 s at default scope (medians 0.31 and 0.65 s of two sets of 3,
-# 2-vCPU Intel Xeon VM) and about 1.4-2.0 s at --max-size 14, where
+# 0.33-0.57 s at default scope (medians 0.39 and 0.41 s of two sets of 15)
+# and peaks at 36.7-37.0 MiB RSS, the child included (2-vCPU Intel Xeon
+# VM, Python 3.11), and about 1.4-2.0 s at --max-size 14, where
 # the census of size 14 alone takes about 1.3-1.4 s and each extra size
 # about 4x more.  The series layer (--max-r half the order) takes 1.2 s
 # at order 64, 2.7 s at 80 and 12 s at 128; all three caps together take
@@ -271,15 +272,10 @@ def _cmd_sample(args, out) -> int:
             "and a seed must fit in 64 unsigned bits"
         )
     # tree 0 is drawn (at --count 0, the size and seed only checked) before
-    # anything is written, so a size or seed that `sample_trees` refuses
-    # leaves stdout empty whatever the count
-    first = [
-        ("", (tau.serialize(),)) for tau in sample_trees(args.size, min(args.count, 1), args.seed)
-    ]
-    rest = (
-        ("", (sample_trees(args.size, 1, args.seed + i)[0].serialize(),))
-        for i in range(1, args.count)
-    )
+    # anything is written, so a size or seed that `_sample_words` refuses
+    # leaves stdout empty whatever the count; each block is one word
+    first = [("", (word,)) for word in _sample_words(args.size, min(args.count, 1), args.seed)]
+    rest = (("", _sample_words(args.size, 1, args.seed + i)) for i in range(1, args.count))
     _emit_words(chain(first, rest), {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 

@@ -37,6 +37,7 @@ from . import asymptotics
 from . import tree as tree_ops
 from .enumeration import (
     _ancestor_size_from_tokens,
+    _sample_words,
     count_trees,
     enumerate_trees,
     plane_trees,
@@ -202,11 +203,15 @@ def _census(n: int) -> _Census:
         if key not in chain_from:
             sizes = [first.size()]
             current = first
-            # a chain that leaves the class stops there: `reduce` is not defined past it
+            # a chain that leaves the class stops there: `reduce` is not defined
+            # past it; so does a chain at a step that does not contract, which
+            # a broken `reduce` could repeat forever
             while is_catalan_stanley(current) and not current.is_leaf:
                 current = tree_ops.reduce(current)
                 sizes.append(current.size())
-                contraction_ok &= _contracts(sizes[-2], sizes[-1])
+                if not _contracts(sizes[-2], sizes[-1]):
+                    contraction_ok = False
+                    break
             closure_ok &= current.is_leaf
             chain_from[key] = tuple(sizes)
         chain = chain_from[key]
@@ -502,7 +507,7 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     )
 
     n, draws = 5, 20000
-    observed_counter = Counter(t.serialize() for t in sample_trees(n, draws, seed=11))
+    observed_counter = Counter(_sample_words(n, draws, seed=11))
     keys = [t.serialize() for t in enumerate_trees(n)]
     observed = [observed_counter.get(k, 0) for k in keys]
     expected = [draws / len(keys)] * len(keys)
@@ -510,7 +515,7 @@ def _check_sampler_layer(report: VerifyReport) -> None:
     report.add("sampler_uniform(5)", f"draws={draws}", p_value >= 0.001, True)
 
     exact = ancestor_distribution(9, 1)
-    empirical = Counter(int(x) for x in sample_reduced_sizes(9, draws, seed=99))
+    empirical = Counter(sample_reduced_sizes(9, draws, seed=99).tolist())
     observed = [empirical.get(m, 0) for m in exact.support]
     expected = [float(p) * draws for p in exact.masses]
     leak = draws - sum(observed)

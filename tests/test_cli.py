@@ -240,9 +240,9 @@ class TestSample:
     def test_last_seed_checked_before_any_draw(self, monkeypatch):
         """Tree i uses seed+i, so a run whose last seed passes 2**64 is refused
         before its first tree is drawn, naming that last seed."""
-        calls, draw = [], catalan_stanley.cli.sample_trees
+        calls, draw = [], catalan_stanley.cli._sample_words
         monkeypatch.setattr(
-            catalan_stanley.cli, "sample_trees", lambda *args: calls.append(args) or draw(*args)
+            catalan_stanley.cli, "_sample_words", lambda *args: calls.append(args) or draw(*args)
         )
         seed = 2**64 - 16
         err = assert_fails_fast(
@@ -255,7 +255,7 @@ class TestSample:
     def test_trees_written_as_drawn(self, monkeypatch, fmt):
         """Each tree is written, in one `write`, before the next one is
         drawn, so only one word is held at a time."""
-        events, draw = [], catalan_stanley.cli.sample_trees
+        events, draw = [], catalan_stanley.cli._sample_words
 
         def spy(*args):
             events.append(None)
@@ -264,7 +264,7 @@ class TestSample:
         class Out:
             write = events.append
 
-        monkeypatch.setattr(catalan_stanley.cli, "sample_trees", spy)
+        monkeypatch.setattr(catalan_stanley.cli, "_sample_words", spy)
         argv = ["sample", "--size", "30000", "--count", "3", "--format", fmt]
         assert run(argv, out=Out(), err=StringIO()) == 0
         kinds = ["draw" if e is None else "tree" for e in events if e is None or "(" in e]
@@ -966,19 +966,28 @@ def test_only_sample_imports_numpy():
 
 def test_verify_imports_no_process_pool():
     """`verify` forks its worker by hand, in a fresh interpreter, so neither
-    `multiprocessing` nor `concurrent.futures` is imported."""
+    `multiprocessing` nor `concurrent.futures` is imported.  Where it forks,
+    the sampler layer runs in the child, so the caller does not import
+    `numpy.random` (about 6 MiB of RSS); on one CPU the caller runs that
+    layer itself, and that part is skipped."""
     script = (
         "import io, sys\n"
+        "from catalan_stanley import verify\n"
         "from catalan_stanley.cli import run\n"
+        "forks = verify._can_fork()\n"
         "argv = ['verify', '--max-size', '5', '--max-r', '2', '--order', '6']\n"
         "assert run(argv, out=io.StringIO()) == 0\n"
         "assert 'multiprocessing' not in sys.modules\n"
         "assert 'concurrent.futures' not in sys.modules\n"
+        "assert not forks or 'numpy.random' not in sys.modules\n"
+        "print(forks)\n"
     )
     package_root = os.path.dirname(os.path.dirname(catalan_stanley.tree.__file__))
     env = {**os.environ, "PYTHONPATH": package_root}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
+    if done.stdout != "True\n":
+        pytest.skip("verify does not fork here: the caller runs the sampler layer")
 
 
 def _numbers(cap, with_cap=False):
@@ -1047,7 +1056,7 @@ def _command_lines(draw):
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(_command_lines())
-# a size or seed that `sample_trees` refuses prints nothing, not even the
+# a size or seed that the sampler refuses prints nothing, not even the
 # JSON header
 @example(["sample", "--size", "-1", "--format", "json"])
 @example(["sample", "--size", "5", "--seed", "-1", "--format", "json"])

@@ -20,6 +20,7 @@ from catalan_stanley.enumeration import (
     _first_tree_size,
     _root_child_sizes,
     _rotated_words,
+    _sample_words,
     _shuffled_rows,
     _tree_blocks,
     _trees,
@@ -277,6 +278,14 @@ class TestSampleTrees:
     def test_prefix_of_longer_run(self, size, count, seed):
         """The trees drawn do not depend on how many more are asked for."""
         assert sample_trees(size, count, seed) == sample_trees(size, count + 5, seed)[:count]
+
+    @pytest.mark.parametrize(
+        "args", [(1000, 500, 1), (5, 20000, 11), (18, 500, 7), (30, 1, 12345), (2000, 1, 3)]
+    )
+    def test_words_are_the_trees_serializations(self, args):
+        """The word sampler that `verify` and the CLI read gives the trees'
+        words, in order, at the calls they make and over many rounds."""
+        assert _sample_words(*args) == [t.serialize() for t in sample_trees(*args)]
 
     @pytest.mark.parametrize(
         "args,digest",
@@ -684,6 +693,20 @@ class TestSampleReducedSizes:
         expected = [draws * exact[k] / catalan(forest) for k in keys]
         _, p_value = scipy.stats.chisquare(observed, expected)
         assert p_value > 0.001
+
+    @pytest.mark.parametrize("bits", [56, 64, 80, 104, 120, 128])
+    def test_uniform_draws_cut_one_byte_stream(self, bits):
+        """The draws are the little-endian bits/8-byte pieces, in order, of
+        one stream of `Generator.bytes` blocks of 4096 draws, past the end
+        of the first block."""
+        width = bits // 8
+        rng = np.random.default_rng(61)
+        stream = rng.bytes(width * 4096) + rng.bytes(width * 4096)
+        expected = [
+            int.from_bytes(stream[i : i + width], "little") for i in range(0, len(stream), width)
+        ]
+        draws = _uniform_draws(np.random.default_rng(61), bits)
+        assert list(itertools.islice(draws, 2 * 4096)) == expected
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_size_three(self, r):

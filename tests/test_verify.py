@@ -6,7 +6,10 @@ import pytest
 import scipy.stats
 
 from catalan_stanley import asymptotics, series, verify
+from catalan_stanley import tree as tree_ops
 from catalan_stanley.cli import MAX_VERIFY_ORDER, MAX_VERIFY_R
+from catalan_stanley.enumeration import enumerate_trees
+from catalan_stanley.tree import parse_tree
 from catalan_stanley.verify import _census, _chi_square_pvalue, run_verification
 
 # sha256 of `run_verification(14, 5, 16).to_text()`, the `verify --max-size 14`
@@ -113,3 +116,39 @@ class TestMutations:
         monkeypatch.setattr(asymptotics, "survival_leading", perturbed)
         failed = _failed(run_verification(4, 5, 8))
         assert "survival_expansion" in failed
+
+    # the census checks: each patch breaks one tree operation for one shape
+    # of size 6 (the first in lex order) and must fail its check at size 6
+    SHAPE = next(enumerate_trees(6)).serialize()
+
+    @pytest.fixture
+    def fresh_census(self):
+        _census.cache_clear()
+        yield
+        _census.cache_clear()
+
+    def test_reduce_that_keeps_one_shape_fails_contraction(self, monkeypatch, fresh_census):
+        """A `reduce` that returns its input never reaches the root; the
+        census stops that chain at the step that did not contract."""
+        healthy = tree_ops.reduce
+        monkeypatch.setattr(
+            tree_ops, "reduce", lambda tau: tau if tau.serialize() == self.SHAPE else healthy(tau)
+        )
+        failed = _failed(run_verification(6, 2, 8))
+        assert {"contraction(6)", "closure(6)"} & set(failed)
+
+    def test_age_one_too_old_for_one_shape_fails_consistency(self, monkeypatch, fresh_census):
+        healthy = tree_ops.age
+        monkeypatch.setattr(
+            tree_ops, "age", lambda tau: healthy(tau) + (tau.serialize() == self.SHAPE)
+        )
+        failed = _failed(run_verification(6, 2, 8))
+        assert "age_consistency(6)" in failed
+
+    def test_dyck_to_tree_that_adds_a_leaf_fails_the_roundtrip(self, monkeypatch, fresh_census):
+        healthy = verify.dyck_to_tree
+        monkeypatch.setattr(
+            verify, "dyck_to_tree", lambda path: parse_tree(healthy(path).serialize()[:-1] + "())")
+        )
+        failed = _failed(run_verification(6, 2, 8))
+        assert "bijection_roundtrip(6)" in failed
