@@ -14,11 +14,10 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from operator import itemgetter
 
 from . import asymptotics, stats, verify as verify_mod
-from .enumeration import _sample_words, _tree_blocks, count_trees
+from .enumeration import _tree_blocks, count_trees, sample_trees
 from .errors import CapacityError, SamplingError
 from .tree import (
     DyckPath,
@@ -271,12 +270,14 @@ def _cmd_sample(args, out) -> int:
             f"sample --count {args.count} uses seeds up to {args.seed + args.count - 1}, "
             "and a seed must fit in 64 unsigned bits"
         )
-    # tree 0 is drawn (at --count 0, the size and seed only checked) before
-    # anything is written, so a size or seed that `_sample_words` refuses
-    # leaves stdout empty whatever the count; each block is one word
-    first = [("", (word,)) for word in _sample_words(args.size, min(args.count, 1), args.seed)]
-    rest = (("", _sample_words(args.size, 1, args.seed + i)) for i in range(1, args.count))
-    _emit_words(chain(first, rest), {"size": args.size, "seed": args.seed}, args.format, out)
+    # a size or seed that `sample_trees` refuses leaves stdout empty at
+    # every count; each block is one word
+    sample_trees(args.size, 0, args.seed)
+    blocks = (
+        ("", (sample_trees(args.size, 1, args.seed + i)[0].serialize(),))
+        for i in range(args.count)
+    )
+    _emit_words(blocks, {"size": args.size, "seed": args.seed}, args.format, out)
     return 0
 
 

@@ -27,10 +27,10 @@ Membership is read off the unrotated rows: one prefix-sum pass gives
 each row's first minimum and its rotated path's returns, and each
 return's descent run is read backwards, eight steps at a time.  Only the
 kept rows are rotated, each by one slice of their translated block.  One
-tree is `sample_trees(size, 1, seed)[0]`.  The sampler proper is
-`_sample_words`, which returns the kept rows' words; `sample_trees` makes
-a tree of each, and callers that only count or print words, `verify`'s
-uniformity check and the CLI's `sample`, read the words and make none.
+tree is `sample_trees(size, 1, seed)[0]`; the CLI's `sample` draws each
+tree so.  The sampler proper is `_sample_words`, which returns the kept
+rows' words; `sample_trees` makes a tree of each, and its one other
+reader, `verify`'s uniformity count, counts the words and makes no tree.
 
 Ancestor sizes need only the root-child sizes of a uniform plane tree on
 n-1 nodes, so `sample_reduced_sizes` draws those one by one in a single
@@ -396,9 +396,8 @@ _DRAWS_PER_TREE = 1000
 def sample_trees(size: int, count: int, seed: int = 0) -> list[PlaneTree]:
     """`count` uniform Catalan-Stanley trees of the given size, deterministic per seed.
 
-    The trees of the words `_sample_words` draws, in order; a caller that
-    needs only the words (`verify`'s uniformity count, the CLI's `sample`)
-    reads those and makes no tree.
+    The trees of the words `_sample_words` draws, in order; only `verify`'s
+    uniformity count reads the words themselves and makes no tree.
     """
     return list(map(PlaneTree._of, _sample_words(size, count, seed)))
 
@@ -416,7 +415,8 @@ def _sample_words(size: int, count: int, seed: int) -> list[str]:
     Membership is decided on the unrotated rows (`_cycle_lemma_rows`);
     kept rows past the trees still needed are dropped, and only the rest,
     about one in four rows, are rotated and turned into words
-    (`_rotated_words`).
+    (`_rotated_words`).  Its readers are `sample_trees` and `verify`'s
+    uniformity count.
     """
     if size < 1:
         raise ValueError("size must be positive")

@@ -308,12 +308,10 @@ def _expand(f: BivariateSeries, a: TruncatedSeries, b: TruncatedSeries) -> Bivar
 def phi_apply(f: BivariateSeries) -> BivariateSeries:
     """Expansion operator: Phi(f)(z,t) = f(z, tT^2/(1-t)) / (1-t).
 
-    Enumerates all trees reducing into the family counted by f.  Row k is
-    sum_j binom(k, j) T^{2j} f_j.
+    Enumerates all trees reducing into the family counted by f.  It is
+    `phi_power` at r = 1, where G_1 = 1: row k is sum_j binom(k, j) T^{2j} f_j.
     """
-    n = f.order
-    t = series_T(n)
-    return _expand(f, t * t, TruncatedSeries.constant(1, n))
+    return phi_power(f, 1)
 
 
 def phi_power(f: BivariateSeries, r: int) -> BivariateSeries:

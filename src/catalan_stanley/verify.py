@@ -57,6 +57,7 @@ from .series import (
 from .stats import (
     _ancestor_counts,
     _survival_counts,
+    age_count_geq,
     age_distribution,
     ancestor_distribution,
     age_variance,
@@ -272,11 +273,9 @@ def _check_stats_layer(report: VerifyReport, max_size: int, max_r: int) -> None:
     }
     for n in range(2, max_size + 1):
         c = _census(n)
-        survivals = _survival_counts(n) + [0] * max_r  # f(n, r) is 0 past n/2
         for r in range(1, max_r + 1):
             brute = sum(v for a, v in c.age_formula.items() if a >= r)
-            formula = survivals[r - 1]
-            report.add(f"f({n},{r})={brute}", f"n={n} r={r}", brute, formula)
+            report.add(f"f({n},{r})={brute}", f"n={n} r={r}", brute, age_count_geq(n, r))
             report.add(
                 f"f_series({n},{r})",
                 f"n={n} r={r}",

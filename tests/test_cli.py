@@ -1,3 +1,4 @@
+import ast
 import decimal
 import functools
 import hashlib
@@ -240,9 +241,9 @@ class TestSample:
     def test_last_seed_checked_before_any_draw(self, monkeypatch):
         """Tree i uses seed+i, so a run whose last seed passes 2**64 is refused
         before its first tree is drawn, naming that last seed."""
-        calls, draw = [], catalan_stanley.cli._sample_words
+        calls, draw = [], catalan_stanley.cli.sample_trees
         monkeypatch.setattr(
-            catalan_stanley.cli, "_sample_words", lambda *args: calls.append(args) or draw(*args)
+            catalan_stanley.cli, "sample_trees", lambda *args: calls.append(args) or draw(*args)
         )
         seed = 2**64 - 16
         err = assert_fails_fast(
@@ -253,23 +254,27 @@ class TestSample:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_trees_written_as_drawn(self, monkeypatch, fmt):
-        """Each tree is written, in one `write`, before the next one is
-        drawn, so only one word is held at a time."""
-        events, draw = [], catalan_stanley.cli._sample_words
+        """The size and seed are checked, by drawing no tree, before anything
+        is written; then each tree is written, in one `write`, before the
+        next one is drawn, so only one tree is held at a time."""
+        events, draw = [], catalan_stanley.cli.sample_trees
 
-        def spy(*args):
-            events.append(None)
-            return draw(*args)
+        def spy(size, count, seed):
+            events.append(count)
+            return draw(size, count, seed)
 
         class Out:
             write = events.append
 
-        monkeypatch.setattr(catalan_stanley.cli, "_sample_words", spy)
+        monkeypatch.setattr(catalan_stanley.cli, "sample_trees", spy)
         argv = ["sample", "--size", "30000", "--count", "3", "--format", fmt]
         assert run(argv, out=Out(), err=StringIO()) == 0
-        kinds = ["draw" if e is None else "tree" for e in events if e is None or "(" in e]
-        assert kinds == ["draw", "tree"] * 3
-        assert "".join(e for e in events if e) == invoke(*argv)[1]
+        # a call's count of trees, or "tree" for a write that holds a word
+        kinds = [
+            e if isinstance(e, int) else "tree" for e in events if isinstance(e, int) or "(" in e
+        ]
+        assert kinds == [0] + [1, "tree"] * 3
+        assert "".join(e for e in events if isinstance(e, str)) == invoke(*argv)[1]
 
     def test_seed_outside_64_bits(self):
         err = assert_fails_fast("sample", "--size", "5", "--seed", "-1")
@@ -962,6 +967,21 @@ def test_only_sample_imports_numpy():
     env = {**os.environ, "PYTHONPATH": package_root}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_cli_reads_no_private_sampler():
+    """The CLI calls the public samplers, whose calls and draws a tracer of
+    the public `enumeration` names sees; its one private read is the block
+    walk `_tree_blocks` that `enumerate` prints."""
+    source = Path(catalan_stanley.cli.__file__).read_text()
+    private = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("enumeration")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private <= {"_tree_blocks"}
 
 
 def test_verify_imports_no_process_pool():

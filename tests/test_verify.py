@@ -101,6 +101,16 @@ class TestMutations:
         failed = _failed(run_verification(6, 3, 8))
         assert "branch_age_counts(2)" in failed
 
+    def test_survival_count_off_by_one_fails_against_the_census(self, monkeypatch):
+        healthy = verify.age_count_geq
+        monkeypatch.setattr(
+            verify, "age_count_geq", lambda n, r: healthy(n, r) + ((n, r) == (6, 2))
+        )
+        failed = _failed(run_verification(6, 3, 8))
+        assert [name for name in failed if name.startswith("f(")] == [
+            f"f(6,2)={healthy(6, 2)}"
+        ]
+
     @pytest.fixture
     def fresh_constants(self):
         asymptotics._constants.cache_clear()
