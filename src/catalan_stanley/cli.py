@@ -39,9 +39,10 @@ STDOUT_CLOSED = 128 + 13  # as a shell reports a process that SIGPIPE ended
 # 17 MiB (2-vCPU VM, Python 3.11).
 MAX_ENUMERATE_SIZE = 16
 # The exact `age` pmf prints numbers of about 0.6 n digits: size 7000 takes
-# about 1.5-1.7 s (medians 1.56 and 1.65 s of two sets of 3), most of it one
-# gcd per line, and peaks at 28.6 MiB RSS in every format, as a fresh
-# process (2-vCPU Intel Xeon VM, Python 3.11).
+# about 1.2-1.4 s (medians 1.24-1.37 s of two sets of 3 in each format; one
+# set of csv read 1.7-1.8 s), about half of it one gcd per line and a quarter
+# the numerators' `str`, and peaks at 28.6-28.9 MiB RSS in every format, as a
+# fresh process (2-vCPU Intel Xeon VM, Python 3.11).
 # Denominators print through `decimal`, which has no digit limit, but the
 # numerators are ints, and from 7155 on one can pass Python's 4300-digit
 # int-to-str limit.  The exact `ancestor` pmf multiplies about n/(2r+1)
@@ -187,20 +188,28 @@ def _emit_distribution(table: stats.DistributionTable, header: dict, fmt: str, o
     `json.dumps` prints for the keys of `header` followed by the object
     "pmf", one mass per `write`.  A mass prints as str(Fraction) does.
 
-    One gcd per mass.  Every denominator is the tree count (the sum of the
-    counts) over that gcd, so the count is converted to a Decimal once and
-    each denominator is one exact `divide_int` by the gcd; a Decimal's text
-    costs linear time where an int's costs quadratic.  The context is
-    private, so the caller's decimal context plays no part.
+    One gcd g with the tree count (the sum of the counts) per mass, whose
+    denominator is the count over g.  That denominator is a Decimal carried
+    from the line before: with h the gcd of the last g and this one, it is
+    the last denominator times (last g)/h, exactly divided by g/h.  The
+    gcds of neighbouring masses share nearly all their factors, so both
+    cofactors are short, and each line makes one near-linear multiply and
+    divide where a fresh `divide_int` of the count costs far more.  A
+    Decimal's text costs linear time where an int's costs quadratic.  Every
+    Decimal step goes through the private context, so the caller's decimal
+    context plays no part.
     """
     total = sum(table.counts)
     ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    big = ctx.create_decimal(total)
 
     def reduced():
+        den, last = ctx.create_decimal(total), 1
         for v, c in zip(table.support, table.counts):
             g = math.gcd(c, total)
-            yield v, str(c // g), str(ctx.divide_int(big, g))
+            h = math.gcd(last, g)
+            den = ctx.divide_int(ctx.multiply(den, last // h), g // h)
+            last = g
+            yield v, str(c // g), str(den)
 
     if fmt == "csv":
         out.write("value,numerator,denominator\n")

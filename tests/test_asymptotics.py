@@ -196,6 +196,18 @@ class TestAncestorMoments:
         leading = ancestor_variance_asym(n, 2).value / n**2
         assert leading == pytest.approx(15 / 256, rel=1e-4)
 
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_leading_variance_is_two_point_law(self, r):
+        """X_{n,r}/n tends to Bernoulli(p), p = 4^-r, so V X_{n,r} / n^2 tends
+        to p(1-p).  The next term of the expansion is sqrt(pi)(4^r(3r+1)-1)
+        / (3 16^r) n^-1/2, at most 0.56 n^-1/2 (at r = 1); C = 1 bounds it
+        and the smaller terms."""
+        p = Fraction(1, 4**r)
+        C = 1.0
+        for n in (2**30, 2**40, 2**50):
+            ratio = ancestor_variance_asym(n, r).value / n**2
+            assert abs(ratio - float(p * (1 - p))) <= C * n**-0.5
+
     def test_mean_error_decays_three_halves(self):
         errors = []
         for n in (100, 200, 400, 800):

@@ -38,7 +38,7 @@ from catalan_stanley.cli import (
     run,
 )
 from catalan_stanley.enumeration import _tree_blocks, enumerate_trees
-from catalan_stanley.stats import age_distribution, ancestor_distribution
+from catalan_stanley.stats import DistributionTable, age_distribution, ancestor_distribution
 from catalan_stanley.tree import parse_tree
 from catalan_stanley.verify import _census, run_verification
 
@@ -490,10 +490,14 @@ def _header(table, r):
     return {"n": table.size_n, "kind": "age" if r is None else "ancestor", "r": r}
 
 
+def _tree_total(n):
+    m = n - 2
+    return math.comb(2 * m, m) // (m + 1) if m >= 0 else 1
+
+
 def _oracle_lines(table, r):
     """CSV, text and JSON of a table, each mass built from its own Fraction."""
-    m = table.size_n - 2
-    total = math.comb(2 * m, m) // (m + 1) if m >= 0 else 1
+    total = _tree_total(table.size_n)
     masses = [(v, Fraction(c, total)) for v, c in zip(table.support, table.counts)]
     document = {**_header(table, r), "pmf": {str(v): str(f) for v, f in masses}}
     return {
@@ -552,6 +556,63 @@ class TestPmfTextOracle:
             narrowed = pool.submit(narrow_then_emit).result(timeout=120)
             here = [_emitted(t) for t in tables]
         assert narrowed == expected and here == expected
+
+
+@st.composite
+def _jumping_tables(draw):
+    """(n, counts): C(n-2) split into positive counts, each a multiple of a
+    divisor of C(n-2) drawn afresh, so the gcd with the total jumps from
+    line to line.  Every prime factor of C(n-2) is below 2n."""
+    n = draw(st.integers(1, 40))
+    total = _tree_total(n)
+    powers = []
+    for p in range(2, 2 * n):
+        if all(p % q for q in range(2, p)):
+            e = 0
+            while total % p ** (e + 1) == 0:
+                e += 1
+            if e:
+                powers.append((p, e))
+    counts, left = [], total
+    while left and len(counts) < 15:
+        d = math.prod(p ** draw(st.integers(0, e)) for p, e in powers)
+        if d > left:
+            d = 1
+        counts.append(d * draw(st.integers(1, left // d)))
+        left -= counts[-1]
+    if left:
+        counts.append(left)
+    return n, tuple(counts)
+
+
+class TestCarriedDenominator:
+    """Each denominator is carried from the line before; these pmfs make the
+    gcd with the total jump, stay, or reach the whole total."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_jumping_tables())
+    @example((10, (1430,)))  # a single mass
+    @example((6, (0, 14, 0)))  # zero counts, whose gcd is the total
+    @example((12, (1, 8398, 1, 8396)))  # gcd 1, total/2, 1, 4
+    @example((12, (4199, 4199, 4199, 4199)))  # equal consecutive gcds
+    def test_masses_match_fractions(self, composition):
+        n, counts = composition
+        table = DistributionTable(n, tuple(range(1, len(counts) + 1)), counts)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            ctx.traps[decimal.Inexact] = True
+            _assert_matches_oracle(table)
+
+    def test_age_4000_against_fractions(self):
+        total = _tree_total(4000)
+        table = age_distribution(4000)
+        code, out, _ = invoke("age", "--size", "4000")
+        header, *rows = out.splitlines()
+        assert (code, header) == (0, "value,numerator,denominator")
+        assert len(rows) == len(table.counts)
+        for row, v, c in zip(rows, table.support, table.counts):
+            mass = Fraction(c, total)
+            assert row.split(",") == [str(v), str(mass.numerator), str(mass.denominator)]
 
 
 class TestEmitDistribution:
